@@ -217,13 +217,39 @@ int main(int argc, char** argv) {
                           2)});
     }
   }
-  // File-backed arms: the same chain on a real filesystem, decoded
-  // once through buffered read_at and once through the zero-copy mmap
-  // path (RestoreOptions::map_reads) — the ablation behind the
-  // map-reads default.  Byte identity against the serial restorer is
-  // asserted as above.
+  // Store-backed arms: the same shape of chain on a real filesystem and
+  // in the log-structured segment store, decoded by the pool through
+  // read_at.  Byte identity against the serial restorer is asserted as
+  // above.
+  const int store_incrementals = args.quick ? 3 : 7;
+  const std::string store_label = "1+" + std::to_string(store_incrementals);
+  auto store_arm = [&](const std::string& kind,
+                       storage::StorageBackend& store) {
+    build_chain(store, mb, store_incrementals, rng);
+    auto reference = checkpoint::restore_chain_serial(store, 0);
+    if (!reference.is_ok()) std::exit(1);
+    checkpoint::RestoreOptions opts;
+    opts.decode_threads = pool_threads;
+    Timed t;
+    bench_json.run_arm(kind + "_chain" + store_label + "_read", arm_bytes, [&] {
+      t = time_restore(
+          [&] {
+            auto s = checkpoint::restore_chain(store, 0, opts);
+            if (!s.is_ok()) std::exit(1);
+            if (!states_identical(*reference, *s)) {
+              std::cerr << "BYTE IDENTITY FAILED: " << kind << "-backed\n";
+              std::exit(1);
+            }
+          },
+          reps);
+    });
+    table.add_row({store_label + " (" + kind + ")", "read decode",
+                   TextTable::num(t.seconds, 4),
+                   TextTable::num(static_cast<double>(mb) / t.seconds, 0),
+                   TextTable::num(static_cast<double>(t.decoded), 0),
+                   TextTable::num(static_cast<double>(t.skipped), 0), "-"});
+  };
   {
-    const int incrementals = args.quick ? 3 : 7;
     const std::string dir = "ablation_restore_chain";
     std::filesystem::remove_all(dir);
     auto file_backend = storage::make_file_backend(dir);
@@ -232,55 +258,10 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    build_chain(**file_backend, mb, incrementals, rng);
-    const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    auto reference =
-        checkpoint::restore_chain_serial(**file_backend, 0);
-    if (!reference.is_ok()) std::exit(1);
-
-    double read_secs = 0;
-    for (bool map_reads : {false, true}) {
-      checkpoint::RestoreOptions opts;
-      opts.decode_threads = pool_threads;
-      opts.map_reads = map_reads;
-      Timed t;
-      bench_json.run_arm(std::string("file_chain") + chain_label +
-                             (map_reads ? "_mmap" : "_read"),
-                         arm_bytes, [&] {
-                           t = time_restore(
-                               [&] {
-                                 auto s = checkpoint::restore_chain(
-                                     **file_backend, 0, opts);
-                                 if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(*reference, *s)) {
-                                   std::cerr << "BYTE IDENTITY FAILED: "
-                                                "file-backed map_reads="
-                                             << map_reads << "\n";
-                                   std::exit(1);
-                                 }
-                               },
-                               reps);
-                         });
-      if (!map_reads) read_secs = t.seconds;
-      table.add_row(
-          {chain_label + " (file)", map_reads ? "mmap decode" : "read decode",
-           TextTable::num(t.seconds, 4),
-           TextTable::num(static_cast<double>(mb) / t.seconds, 0),
-           TextTable::num(static_cast<double>(t.decoded), 0),
-           TextTable::num(static_cast<double>(t.skipped), 0),
-           TextTable::num(map_reads && t.seconds > 0
-                              ? read_secs / t.seconds
-                              : 1.0,
-                          2)});
-    }
+    store_arm("file", **file_backend);
     std::filesystem::remove_all(dir);
   }
-  // Segment-backed arms: the same shape of chain in the log-structured
-  // store, decoded through read_at and through per-object mmap windows.
-  // Byte identity against the serial restorer is asserted as above.
   {
-    const int incrementals = args.quick ? 3 : 7;
     const std::string dir = "ablation_restore_segchain";
     std::filesystem::remove_all(dir);
     auto seg_backend = storage::make_segment_backend(dir);
@@ -289,47 +270,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    build_chain(**seg_backend, mb, incrementals, rng);
-    const std::string chain_label = "1+" + std::to_string(incrementals);
-
-    auto reference = checkpoint::restore_chain_serial(**seg_backend, 0);
-    if (!reference.is_ok()) std::exit(1);
-
-    double read_secs = 0;
-    for (bool map_reads : {false, true}) {
-      checkpoint::RestoreOptions opts;
-      opts.decode_threads = pool_threads;
-      opts.map_reads = map_reads;
-      Timed t;
-      bench_json.run_arm(std::string("segment_chain") + chain_label +
-                             (map_reads ? "_mmap" : "_read"),
-                         arm_bytes, [&] {
-                           t = time_restore(
-                               [&] {
-                                 auto s = checkpoint::restore_chain(
-                                     **seg_backend, 0, opts);
-                                 if (!s.is_ok()) std::exit(1);
-                                 if (!states_identical(*reference, *s)) {
-                                   std::cerr << "BYTE IDENTITY FAILED: "
-                                                "segment-backed map_reads="
-                                             << map_reads << "\n";
-                                   std::exit(1);
-                                 }
-                               },
-                               reps);
-                         });
-      if (!map_reads) read_secs = t.seconds;
-      table.add_row(
-          {chain_label + " (seg)", map_reads ? "mmap decode" : "read decode",
-           TextTable::num(t.seconds, 4),
-           TextTable::num(static_cast<double>(mb) / t.seconds, 0),
-           TextTable::num(static_cast<double>(t.decoded), 0),
-           TextTable::num(static_cast<double>(t.skipped), 0),
-           TextTable::num(map_reads && t.seconds > 0
-                              ? read_secs / t.seconds
-                              : 1.0,
-                          2)});
-    }
+    store_arm("segment", **seg_backend);
     seg_backend->reset();
     std::filesystem::remove_all(dir);
   }

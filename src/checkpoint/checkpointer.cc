@@ -78,7 +78,7 @@ std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence) {
   return buf;
 }
 
-Checkpointer::Checkpointer(Validated, region::AddressSpace& space,
+Checkpointer::Checkpointer(region::AddressSpace& space,
                            storage::StorageBackend& storage,
                            CheckpointerOptions options)
     : space_(space), storage_(storage), options_(options) {
@@ -90,14 +90,6 @@ Checkpointer::Checkpointer(Validated, region::AddressSpace& space,
     async_ = std::make_unique<storage::AsyncWriter>(storage_);
   }
 }
-
-Checkpointer::Checkpointer(region::AddressSpace& space,
-                           storage::StorageBackend& storage,
-                           CheckpointerOptions options)
-    : Checkpointer(Validated{}, space, storage, [&] {
-        options.encode_threads = std::max(1, options.encode_threads);
-        return options;
-      }()) {}
 
 Result<std::unique_ptr<Checkpointer>> Checkpointer::create(
     region::AddressSpace& space, storage::StorageBackend* storage,
@@ -119,7 +111,7 @@ Result<std::unique_ptr<Checkpointer>> Checkpointer::create(
         " (likely an overflowed or negative value)");
   }
   return std::unique_ptr<Checkpointer>(
-      new Checkpointer(Validated{}, space, *storage, options));
+      new Checkpointer(space, *storage, options));
 }
 
 namespace {

@@ -63,12 +63,6 @@ class Checkpointer {
       region::AddressSpace& space, storage::StorageBackend* storage,
       CheckpointerOptions options = {});
 
-  /// Deprecated shim: constructs without validation, clamping
-  /// `encode_threads` to at least 1.  Use create() instead.
-  [[deprecated("use Checkpointer::create(), which validates options")]]
-  Checkpointer(region::AddressSpace& space, storage::StorageBackend& storage,
-               CheckpointerOptions options = {});
-
   /// Write every page of every live block.
   Result<CheckpointMeta> checkpoint_full(double virtual_time);
 
@@ -96,9 +90,8 @@ class Checkpointer {
   std::uint64_t next_sequence() const noexcept { return next_seq_; }
 
  private:
-  struct Validated {};  // tag: options already checked / sanitized
-  Checkpointer(Validated, region::AddressSpace& space,
-               storage::StorageBackend& storage, CheckpointerOptions options);
+  Checkpointer(region::AddressSpace& space, storage::StorageBackend& storage,
+               CheckpointerOptions options);
 
   Result<CheckpointMeta> write_checkpoint(
       Kind kind, const memtrack::DirtySnapshot* snapshot,

@@ -10,6 +10,7 @@
 #include "checkpoint/compress.h"
 #include "checkpoint/format.h"
 #include "common/crc32.h"
+#include "common/io_util.h"
 #include "common/page.h"
 #include "common/thread_pool.h"
 #include "obs/flightrec.h"
@@ -28,7 +29,6 @@ struct RestoreMetrics {
   obs::Counter& pages_decoded;
   obs::Counter& pages_skipped;
   obs::Counter& bytes_read;
-  obs::Counter& bytes_mapped;  ///< of bytes_read, served zero-copy
   obs::Counter& truncated_tails;
   obs::Histogram& plan_ns;
   obs::Histogram& decode_ns;
@@ -45,7 +45,6 @@ struct RestoreMetrics {
                             r.counter("restore.pages_decoded"),
                             r.counter("restore.pages_skipped"),
                             r.counter("restore.bytes_read"),
-                            r.counter("restore.bytes_mapped"),
                             r.counter("restore.truncated_tails"),
                             r.histogram("restore.plan_ns"),
                             r.histogram("restore.decode_ns"),
@@ -62,46 +61,45 @@ struct RestoreMetrics {
   }
 };
 
+/// Fill all of `out` from `rd` (ioutil::read_full retries short
+/// counts); a source that ends first is kCorruption(`truncated`).
+template <typename ReadFn>
+Status fill_exact(ReadFn&& rd, std::span<std::byte> out,
+                  const char* truncated = "truncated checkpoint file") {
+  auto got = ioutil::read_full(std::forward<ReadFn>(rd), out);
+  if (!got.is_ok()) return got.status();
+  if (*got < out.size()) return corruption(truncated);
+  return Status::ok();
+}
+
+/// The sequential cursor of `in` as an ioutil::read_full source.
+auto sequential(storage::Reader& in) {
+  return [&in](std::span<std::byte> rest) { return in.read(rest); };
+}
+
 /// Buffered sequential reader with CRC tracking and strict bounds.
 class CrcReader {
  public:
   explicit CrcReader(storage::Reader& in) : in_(in) {}
 
   Status read_exact(void* out, std::size_t len) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::size_t got_total = 0;
-    while (got_total < len) {
-      auto got = in_.read({dst + got_total, len - got_total});
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint file");
-      got_total += *got;
-    }
+    ICKPT_RETURN_IF_ERROR(
+        fill_exact(sequential(in_), {static_cast<std::byte*>(out), len}));
     crc_.update(out, len);
-    consumed_ += len;
     return Status::ok();
   }
 
   /// Read without CRC accounting (for the trailer itself).
   Status read_raw(void* out, std::size_t len) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::size_t got_total = 0;
-    while (got_total < len) {
-      auto got = in_.read({dst + got_total, len - got_total});
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint trailer");
-      got_total += *got;
-    }
-    consumed_ += len;
-    return Status::ok();
+    return fill_exact(sequential(in_), {static_cast<std::byte*>(out), len},
+                      "truncated checkpoint trailer");
   }
 
   std::uint32_t crc() const noexcept { return crc_.value(); }
-  std::uint64_t consumed() const noexcept { return consumed_; }
 
  private:
   storage::Reader& in_;
   Crc32 crc_;
-  std::uint64_t consumed_ = 0;
 };
 
 Status validate_header(const FileHeader& h, const std::string& key) {
@@ -347,21 +345,17 @@ class ObjectScanner {
   std::uint64_t piece_off_ = 0;
 };
 
-/// Read just the FileHeader (read-exact loop: streaming backends may
-/// return short counts), without touching the rest of the object.
+/// Read just the FileHeader (read-exact: streaming backends may return
+/// short counts), without touching the rest of the object.
 Result<FileHeader> peek_header(storage::StorageBackend& storage,
                                const std::string& key) {
   auto reader = storage.open(key);
   if (!reader.is_ok()) return reader.status();
   FileHeader h;
-  auto* dst = reinterpret_cast<std::byte*>(&h);
-  std::size_t got_total = 0;
-  while (got_total < sizeof h) {
-    auto got = (*reader)->read({dst + got_total, sizeof h - got_total});
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("bad header in " + key);
-    got_total += *got;
-  }
+  auto got = ioutil::read_full(sequential(**reader),
+                               {reinterpret_cast<std::byte*>(&h), sizeof h});
+  if (!got.is_ok()) return got.status();
+  if (*got < sizeof h) return corruption("bad header in " + key);
   ICKPT_RETURN_IF_ERROR(validate_header(h, key));
   return h;
 }
@@ -475,7 +469,6 @@ struct DecodeShard {
   std::uint32_t crc = 0;  ///< CRC of the byte range (set by the worker)
   std::uint32_t decoded = 0;
   std::uint32_t skipped = 0;
-  bool mapped = false;  ///< served from a zero-copy mapping
   Status status;  ///< per-shard result
 };
 
@@ -484,46 +477,33 @@ struct DecodeShard {
 Status read_range(storage::Reader& in, std::uint64_t offset,
                   std::span<std::byte> out) {
   if (in.supports_read_at()) {
-    std::size_t got_total = 0;
-    while (got_total < out.size()) {
-      auto got = in.read_at(offset + got_total,
-                            out.subspan(got_total));
-      if (!got.is_ok()) return got.status();
-      if (*got == 0) return corruption("truncated checkpoint file");
-      got_total += *got;
-    }
-    return Status::ok();
+    // `rest` is the still-unfilled tail of `out`.
+    return fill_exact(
+        [&](std::span<std::byte> rest) {
+          return in.read_at(offset + static_cast<std::uint64_t>(
+                                         rest.data() - out.data()),
+                            rest);
+        },
+        out);
   }
   // Sequential reader: discard up to `offset`, then read-exact.
   std::vector<std::byte> scratch(ObjectScanner::kBufSize);
-  std::uint64_t to_skip = offset;
-  while (to_skip > 0) {
-    auto n = std::min<std::uint64_t>(to_skip, scratch.size());
-    auto got = in.read({scratch.data(), static_cast<std::size_t>(n)});
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("truncated checkpoint file");
-    to_skip -= *got;
+  for (std::uint64_t to_skip = offset; to_skip > 0;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(to_skip, scratch.size()));
+    ICKPT_RETURN_IF_ERROR(fill_exact(sequential(in), {scratch.data(), n}));
+    to_skip -= n;
   }
-  std::size_t got_total = 0;
-  while (got_total < out.size()) {
-    auto got = in.read(out.subspan(got_total));
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("truncated checkpoint file");
-    got_total += *got;
-  }
-  return Status::ok();
+  return fill_exact(sequential(in), out);
 }
 
-/// Decode one shard: read its byte range, CRC it, decode the winner
-/// pages straight into the final block buffers.  Shards touch disjoint
-/// output pages, so workers never race.  When the backend supports
-/// map_at() (and the caller allows it) the byte range is a zero-copy
-/// view of the object; otherwise it is read into a shard-local buffer.
-/// CRC coverage and decoded bytes are identical either way.
+/// Decode one shard: read its byte range into a shard buffer, CRC it,
+/// decode the winner pages straight into the final block buffers.
+/// Shards touch disjoint output pages, so workers never race.
 void run_shard(storage::StorageBackend& storage,
                const std::vector<ObjectPlan>& objs,
                const std::map<std::uint32_t, std::byte*>& out_base,
-               bool map_reads, DecodeShard& s) {
+               DecodeShard& s) {
   obs::TraceSpan span(RestoreMetrics::get().t_decode_shard, s.page_count,
                       s.length);
   const ObjectPlan& obj = objs[s.obj_idx];
@@ -532,29 +512,9 @@ void run_shard(storage::StorageBackend& storage,
     s.status = reader.status();
     return;
   }
-  std::span<const std::byte> bytes;
-  std::vector<std::byte> buf;
-  if (map_reads && (*reader)->supports_map()) {
-    auto mapped = (*reader)->map_at(s.offset,
-                                    static_cast<std::size_t>(s.length));
-    if (mapped.is_ok()) {
-      bytes = *mapped;
-      s.mapped = true;
-    } else if (mapped.status().code() == ErrorCode::kCorruption) {
-      // The range came from the object's own plan; a short object is
-      // damage, not a reason to retry through the buffered path.
-      s.status = mapped.status();
-      return;
-    }
-    // Any other failure (transient mmap exhaustion, decorator without
-    // pass-through): fall back to the buffered read below.
-  }
-  if (!s.mapped) {
-    buf.resize(static_cast<std::size_t>(s.length));
-    s.status = read_range(**reader, s.offset, buf);
-    if (!s.status.is_ok()) return;
-    bytes = buf;
-  }
+  std::vector<std::byte> bytes(static_cast<std::size_t>(s.length));
+  s.status = read_range(**reader, s.offset, bytes);
+  if (!s.status.is_ok()) return;
   s.crc = crc32(bytes);
 
   const std::size_t psize = obj.header.page_size;
@@ -602,7 +562,7 @@ std::uint32_t pick_shard_pages(std::uint64_t total_pages, int threads) {
 Result<RestoredState> attempt(storage::StorageBackend& storage,
                               std::uint32_t rank, std::uint64_t upto,
                               int threads, bool truncate_tail,
-                              bool map_reads, std::uint64_t* failed_seq,
+                              std::uint64_t* failed_seq,
                               bool* have_failed_seq) {
   auto& metrics = RestoreMetrics::get();
   obs::ScopedTimer plan_timer(metrics.plan_ns);
@@ -637,10 +597,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
       continue;  // orphan; fsck --repair quarantines these
     }
     if (c.sequence > upto) continue;  // peeked only, never fully parsed
-    if (!c.header_ok && !truncate_tail) {
-      auto again = peek_header(storage, k);
-      return again.status();
-    }
+    if (!c.header_ok && !truncate_tail) return h.status();
     cands.push_back(std::move(c));
   }
   if (cands.empty()) {
@@ -831,14 +788,14 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   if (threads > 1 && shards.size() > 1) {
     ThreadPool pool(static_cast<std::size_t>(threads));
     for (DecodeShard& s : shards) {
-      pool.submit([&storage, &objs, &out_base, map_reads, &s] {
-        run_shard(storage, objs, out_base, map_reads, s);
+      pool.submit([&storage, &objs, &out_base, &s] {
+        run_shard(storage, objs, out_base, s);
       });
     }
     pool.wait_idle();
   } else {
     for (DecodeShard& s : shards) {
-      run_shard(storage, objs, out_base, map_reads, s);
+      run_shard(storage, objs, out_base, s);
     }
   }
 
@@ -852,7 +809,6 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   std::uint64_t pages_decoded = 0;
   std::uint64_t pages_skipped = 0;
   std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_mapped = 0;
   for (std::size_t o = 0; o < objs.size(); ++o) {
     for (std::size_t si : object_shards[o]) {
       const DecodeShard& s = shards[si];
@@ -864,7 +820,6 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
       pages_decoded += s.decoded;
       pages_skipped += s.skipped;
       bytes_read += s.length;
-      if (s.mapped) bytes_mapped += s.length;
     }
     Crc32 fold;
     std::size_t next_shard = 0;
@@ -893,7 +848,6 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   metrics.pages_decoded.inc(pages_decoded);
   metrics.pages_skipped.inc(pages_skipped);
   metrics.bytes_read.inc(bytes_read);
-  metrics.bytes_mapped.inc(bytes_mapped);
   return state;
 }
 
@@ -928,8 +882,8 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
     std::uint64_t failed_seq = 0;
     bool have_failed_seq = false;
     auto state = attempt(storage, rank, upto, threads,
-                         options.allow_truncated_tail, options.map_reads,
-                         &failed_seq, &have_failed_seq);
+                         options.allow_truncated_tail, &failed_seq,
+                         &have_failed_seq);
     if (state.is_ok()) return state;
     if (!options.allow_truncated_tail ||
         state.status().code() != ErrorCode::kCorruption ||

@@ -55,12 +55,6 @@ struct RestoreOptions {
   /// calling thread, 0 picks the hardware thread count.  The restored
   /// bytes are identical either way.
   int decode_threads = 0;
-  /// Decode page payloads from a zero-copy mapping of the object
-  /// (Reader::map_at) instead of read()+memcpy into a shard buffer.
-  /// Used automatically when the backend supports it; disable to force
-  /// the buffered read path (X9 ablates the two).  Restored bytes and
-  /// CRC coverage are identical either way.
-  bool map_reads = true;
 };
 
 /// Parse and validate one checkpoint object (header, structure, CRC).

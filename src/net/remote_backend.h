@@ -8,11 +8,8 @@
 // read() / read_at() call, issuing a ranged GET each time, so many
 // readers share the pool.  Destroying an unclosed Writer sends
 // PUT_ABORT — the partial object is never visible server-side, the
-// same abort-and-discard semantics local writers have.
-//
-// map_at() is unsupported (there is no remote memory to view), so the
-// restore path's mmap fast path transparently falls back to buffered
-// read_at() — same bytes, one extra copy.
+// same abort-and-discard semantics local writers have.  Restore decode
+// shards fetch their byte ranges with read_at(), as on local stores.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "storage/backend.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -406,14 +405,10 @@ class DirectFileWriter final : public Writer {
 
 class FileReader final : public Reader {
  public:
-  explicit FileReader(const fs::path& path)
-      : path_(path), size_(fs::file_size(path)) {
+  explicit FileReader(const fs::path& path) : size_(fs::file_size(path)) {
     is_.open(path, std::ios::binary);
   }
 
-  ~FileReader() override {
-    if (map_ != nullptr) ::munmap(map_, static_cast<std::size_t>(size_));
-  }
   Result<std::size_t> read(std::span<std::byte> out) override {
     is_.read(reinterpret_cast<char*>(out.data()),
              static_cast<std::streamsize>(out.size()));
@@ -435,35 +430,11 @@ class FileReader final : public Reader {
     return got;
   }
 
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > size_ || length > size_ - offset) {
-      return corruption("map_at past end of object: " + path_.string());
-    }
-    if (map_ == nullptr) {
-      int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) return io_error("open for mmap failed: " + path_.string());
-      void* m = ::mmap(nullptr, static_cast<std::size_t>(size_), PROT_READ,
-                       MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (m == MAP_FAILED) {
-        return io_error("mmap failed: " + path_.string());
-      }
-      map_ = m;
-    }
-    return std::span<const std::byte>{
-        static_cast<const std::byte*>(map_) + offset, length};
-  }
-
   std::uint64_t size() const noexcept override { return size_; }
 
  private:
-  fs::path path_;
   std::ifstream is_;
   std::uint64_t size_;
-  void* map_ = nullptr;  ///< whole-object mmap, created on first map_at
 };
 
 class FileBackend final : public StorageBackend {
@@ -638,17 +609,6 @@ class MemoryReader final : public Reader {
                                             data_->size() - offset);
     std::memcpy(out.data(), data_->data() + offset, n);
     return n;
-  }
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > data_->size() || length > data_->size() - offset) {
-      return corruption("map_at past end of object");
-    }
-    // The reader shares ownership of the immutable buffer, so the
-    // view outlives concurrent removes of the key.
-    return std::span<const std::byte>{data_->data() + offset, length};
   }
   std::uint64_t size() const noexcept override { return data_->size(); }
 

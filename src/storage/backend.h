@@ -37,7 +37,8 @@ class Writer {
 
 /// Sequential reader for one object.  Backends that can serve byte
 /// ranges also implement read_at(), which the parallel restore path
-/// uses to fetch page payloads without streaming the whole object.
+/// uses to read each decode shard's byte range into a shard buffer
+/// without streaming the whole object.
 class Reader {
  public:
   virtual ~Reader() = default;
@@ -59,17 +60,10 @@ class Reader {
     return unsupported("read_at not supported by this backend");
   }
 
-  /// True when map_at() is implemented.
+  /// No library reader implements these; they stay only because the
+  /// benchmark's decorator (perfbench/src/timed_backend.cc) overrides
+  /// them.
   virtual bool supports_map() const noexcept { return false; }
-
-  /// Zero-copy view of exactly [offset, offset+length) of the object.
-  /// The span stays valid until the Reader is destroyed; the object is
-  /// immutable, so callers may hold it across decode.  File-backed
-  /// readers serve this from one lazily created read-only mmap of the
-  /// whole object (payload decode then reads mapped pages instead of
-  /// read()+memcpy); memory-backed readers return a view of the stored
-  /// buffer.  Ranges past EOF are kCorruption (the caller planned them
-  /// from the object's own structure, so a short object is damage).
   virtual Result<std::span<const std::byte>> map_at(std::uint64_t offset,
                                                     std::size_t length) {
     (void)offset;

@@ -1,7 +1,6 @@
 #include "storage/segment_backend.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,7 +15,6 @@
 
 #include "common/crc32.h"
 #include "common/io_util.h"
-#include "common/page.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -183,19 +181,13 @@ Status pread_exact(int fd, void* buf, std::size_t n, std::uint64_t off,
 
 // -------------------------------------------------------------- reader
 
-/// Reader over one committed object.  read()/read_at() are pread into
-/// the shared segment fd; map_at() makes one private read-only mapping
-/// of the object's byte range (page-aligned window), owned by this
-/// reader — identical lifetime rules to FileReader's whole-object map.
+/// Reader over one committed object: read()/read_at() are pread into
+/// the shared segment fd.
 class SegmentReader final : public Reader {
  public:
   SegmentReader(SegPtr seg, std::uint64_t payload_off,
                 std::uint64_t payload_len)
       : seg_(std::move(seg)), off_(payload_off), len_(payload_len) {}
-
-  ~SegmentReader() override {
-    if (map_ != nullptr) ::munmap(map_, map_len_);
-  }
 
   Result<std::size_t> read(std::span<std::byte> out) override {
     ICKPT_ASSIGN_OR_RETURN(got, read_at(pos_, out));
@@ -215,39 +207,12 @@ class SegmentReader final : public Reader {
     return n;
   }
 
-  bool supports_map() const noexcept override { return true; }
-  Result<std::span<const std::byte>> map_at(std::uint64_t offset,
-                                            std::size_t length) override {
-    if (length == 0) return std::span<const std::byte>{};
-    if (offset > len_ || length > len_ - offset) {
-      return corruption("map_at past end of object: " + seg_->path.string());
-    }
-    if (map_ == nullptr) {
-      const std::uint64_t page = page_size();
-      const std::uint64_t aligned = off_ & ~(page - 1);
-      map_delta_ = static_cast<std::size_t>(off_ - aligned);
-      map_len_ = static_cast<std::size_t>(len_) + map_delta_;
-      void* m = ::mmap(nullptr, map_len_, PROT_READ, MAP_PRIVATE, seg_->fd,
-                       static_cast<off_t>(aligned));
-      if (m == MAP_FAILED) {
-        map_len_ = 0;
-        return io_error("mmap failed: " + seg_->path.string());
-      }
-      map_ = m;
-    }
-    return std::span<const std::byte>{
-        static_cast<const std::byte*>(map_) + map_delta_ + offset, length};
-  }
-
   std::uint64_t size() const noexcept override { return len_; }
 
  private:
   SegPtr seg_;
   std::uint64_t off_, len_;
   std::uint64_t pos_ = 0;
-  void* map_ = nullptr;
-  std::size_t map_len_ = 0;
-  std::size_t map_delta_ = 0;
 };
 
 // ------------------------------------------------------------- backend

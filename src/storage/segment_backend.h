@@ -13,8 +13,8 @@
 //   * an in-memory index (key -> segment/offset/length) is rebuilt on
 //     open, from a validated on-disk footer for sealed segments and by
 //     a record scan (torn tail dropped) for unsealed ones;
-//   * reads are served by pread / mmap straight out of the segment, so
-//     Reader::read_at and map_at work exactly as with FileBackend;
+//   * reads are served by pread straight out of the segment, so
+//     Reader::read_at works exactly as with FileBackend;
 //   * delete appends a tombstone; space comes back via compact(),
 //     which rewrites the live objects of mostly-dead segments into the
 //     active one and unlinks the husk — restartable and idempotent

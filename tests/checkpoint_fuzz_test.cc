@@ -52,6 +52,33 @@ void expect_state_matches(const RestoredState& state, const Shadow& truth,
   }
 }
 
+/// Every recorded sequence must restore to its exact ground truth —
+/// through the planned pipeline (serial and parallel decode) and the
+/// serial reference restorer, all byte-identical.
+void expect_every_sequence_restores(
+    storage::StorageBackend& storage,
+    const std::map<std::uint64_t, Shadow>& truth_at) {
+  for (const auto& [seq, truth] : truth_at) {
+    auto reference = restore_chain_serial(storage, 0, seq);
+    ASSERT_TRUE(reference.is_ok())
+        << "seq " << seq << ": " << reference.status().to_string();
+    EXPECT_EQ(reference->sequence, seq);
+    expect_state_matches(*reference, truth, seq);
+
+    for (int threads : {1, 4}) {
+      RestoreOptions ropts;
+      ropts.upto = seq;
+      ropts.decode_threads = threads;
+      auto state = restore_chain(storage, 0, ropts);
+      ASSERT_TRUE(state.is_ok()) << "seq " << seq << " (threads " << threads
+                                 << "): " << state.status().to_string();
+      EXPECT_EQ(state->sequence, seq);
+      expect_state_matches(*state, truth, seq);
+      EXPECT_EQ(state->virtual_time, reference->virtual_time);
+    }
+  }
+}
+
 class CheckpointFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CheckpointFuzzTest, EverySequenceRestoresExactly) {
@@ -132,44 +159,18 @@ TEST_P(CheckpointFuzzTest, EverySequenceRestoresExactly) {
   ASSERT_TRUE(meta.is_ok());
   truth_at[meta->sequence] = snapshot_space(space);
 
-  // Every recorded sequence must restore to its exact ground truth —
-  // through the planned pipeline (serial and parallel decode) and the
-  // serial reference restorer, all byte-identical.
-  for (const auto& [seq, truth] : truth_at) {
-    auto reference = restore_chain_serial(*storage, 0, seq);
-    ASSERT_TRUE(reference.is_ok())
-        << "seq " << seq << ": " << reference.status().to_string();
-    EXPECT_EQ(reference->sequence, seq);
-    expect_state_matches(*reference, truth, seq);
-
-    for (int threads : {1, 4}) {
-      for (bool map_reads : {false, true}) {
-        RestoreOptions ropts;
-        ropts.upto = seq;
-        ropts.decode_threads = threads;
-        ropts.map_reads = map_reads;
-        auto state = restore_chain(*storage, 0, ropts);
-        ASSERT_TRUE(state.is_ok())
-            << "seq " << seq << " (threads " << threads << ", map "
-            << map_reads << "): " << state.status().to_string();
-        EXPECT_EQ(state->sequence, seq);
-        expect_state_matches(*state, truth, seq);
-        EXPECT_EQ(state->virtual_time, reference->virtual_time);
-      }
-    }
-  }
+  expect_every_sequence_restores(*storage, truth_at);
 }
 
-TEST(CheckpointFuzzTest, FileBackedMapReadsMatchBufferedReads) {
-  // Same invariant against a real file backend, where map_reads decodes
-  // from an actual read-only mmap of each object: mapped and buffered
-  // restores must be byte-identical to the serial reference.
-  const std::string dir = ::testing::TempDir() + "/ickpt_fuzz_map_test";
+TEST(CheckpointFuzzTest, FileBackedRestoreMatchesTruth) {
+  // Same invariant against a real file backend, whose decode shards
+  // read_at() each object's byte ranges from disk.
+  const std::string dir = ::testing::TempDir() + "/ickpt_fuzz_file_test";
   std::filesystem::remove_all(dir);
 
   Rng rng(99);
   ExplicitEngine engine;
-  AddressSpace space(engine, "fuzzmap");
+  AddressSpace space(engine, "fuzzfile");
   auto storage = storage::make_file_backend(dir);
   ASSERT_TRUE(storage.is_ok());
   CheckpointerOptions opts;
@@ -199,18 +200,7 @@ TEST(CheckpointFuzzTest, FileBackedMapReadsMatchBufferedReads) {
     truth_at[meta->sequence] = snapshot_space(space);
   }
 
-  for (const auto& [seq, truth] : truth_at) {
-    for (bool map_reads : {false, true}) {
-      RestoreOptions ropts;
-      ropts.upto = seq;
-      ropts.map_reads = map_reads;
-      auto state = restore_chain(**storage, 0, ropts);
-      ASSERT_TRUE(state.is_ok())
-          << "seq " << seq << " (map " << map_reads
-          << "): " << state.status().to_string();
-      expect_state_matches(*state, truth, seq);
-    }
-  }
+  expect_every_sequence_restores(**storage, truth_at);
   std::filesystem::remove_all(dir);
 }
 

@@ -26,13 +26,13 @@ class InspectTest : public ::testing::Test {
   InspectTest()
       : storage_(storage::make_memory_backend()),
         space_(engine_, "r"),
-        ckpt_(space_, *storage_, CheckpointerOptions{}) {}
+        ckpt_(Checkpointer::create(space_, storage_.get()).value()) {}
 
   void write_chain(int increments) {
     auto block = space_.map(4 * page_size(), AreaKind::kHeap, "s");
     ASSERT_TRUE(block.is_ok());
     block_ = block->mem;
-    ASSERT_TRUE(ckpt_.checkpoint_full(0.0).is_ok());
+    ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
     ASSERT_TRUE(engine_.arm().is_ok());
     Rng rng(5);
     for (int i = 0; i < increments; ++i) {
@@ -40,15 +40,14 @@ class InspectTest : public ::testing::Test {
       engine_.note_write(block_.data(), 1);
       auto snap = engine_.collect(true);
       ASSERT_TRUE(snap.is_ok());
-      ASSERT_TRUE(
-          ckpt_.checkpoint_incremental(*snap, i + 1.0).is_ok());
+      ASSERT_TRUE(ckpt_->checkpoint_incremental(*snap, i + 1.0).is_ok());
     }
   }
 
   ExplicitEngine engine_;
   std::unique_ptr<storage::StorageBackend> storage_;
   AddressSpace space_;
-  Checkpointer ckpt_;
+  std::unique_ptr<Checkpointer> ckpt_;
   std::span<std::byte> block_;
 };
 
@@ -88,7 +87,7 @@ TEST_F(InspectTest, MissingRankReportsProblem) {
 TEST_F(InspectTest, CorruptedElementIsFlagged) {
   write_chain(3);
   // Corrupt the second incremental in place.
-  std::string key = ckpt_.chain()[2].key;
+  std::string key = ckpt_->chain()[2].key;
   auto reader = storage_->open(key);
   ASSERT_TRUE(reader.is_ok());
   std::vector<std::byte> data((*reader)->size());
@@ -116,7 +115,7 @@ TEST_F(InspectTest, CorruptedElementIsFlagged) {
 
 TEST_F(InspectTest, MissingMiddleElementBreaksParentLink) {
   write_chain(3);
-  ASSERT_TRUE(storage_->remove(ckpt_.chain()[1].key).is_ok());
+  ASSERT_TRUE(storage_->remove(ckpt_->chain()[1].key).is_ok());
   auto report = inspect_chain(*storage_, 0);
   ASSERT_TRUE(report.is_ok());
   EXPECT_FALSE(report->healthy());
@@ -130,7 +129,7 @@ TEST_F(InspectTest, MissingMiddleElementBreaksParentLink) {
 TEST_F(InspectTest, IncrementalOnlyChainIsUnrecoverable) {
   write_chain(2);
   // Delete the full root.
-  ASSERT_TRUE(storage_->remove(ckpt_.chain()[0].key).is_ok());
+  ASSERT_TRUE(storage_->remove(ckpt_->chain()[0].key).is_ok());
   auto report = inspect_chain(*storage_, 0);
   ASSERT_TRUE(report.is_ok());
   EXPECT_FALSE(report->recoverable);

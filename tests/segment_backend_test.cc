@@ -259,7 +259,7 @@ TEST_F(SegmentBackendTest, CompactDoesNotResurrectDeletedKeys) {
   EXPECT_EQ(read_all(**b, "pad-a"), std::string(1600, 'q'));
 }
 
-TEST_F(SegmentBackendTest, ReadAtAndMapAtServeRanges) {
+TEST_F(SegmentBackendTest, ReadAtServesRanges) {
   auto b = open();
   ASSERT_TRUE(b.is_ok());
   std::string blob(100000, '\0');
@@ -270,7 +270,6 @@ TEST_F(SegmentBackendTest, ReadAtAndMapAtServeRanges) {
   auto r = (*b)->open("blob");
   ASSERT_TRUE(r.is_ok());
   ASSERT_TRUE((*r)->supports_read_at());
-  ASSERT_TRUE((*r)->supports_map());
   EXPECT_EQ((*r)->size(), blob.size());
 
   std::byte buf[1000];
@@ -278,14 +277,6 @@ TEST_F(SegmentBackendTest, ReadAtAndMapAtServeRanges) {
   ASSERT_TRUE(got.is_ok());
   ASSERT_EQ(*got, sizeof buf);
   EXPECT_EQ(std::memcmp(buf, blob.data() + 40000, sizeof buf), 0);
-
-  auto span = (*r)->map_at(65000, 2000);
-  ASSERT_TRUE(span.is_ok()) << span.status().message();
-  ASSERT_EQ(span->size(), 2000u);
-  EXPECT_EQ(std::memcmp(span->data(), blob.data() + 65000, 2000), 0);
-
-  // Past-EOF map is corruption, same contract as FileReader.
-  EXPECT_FALSE((*r)->map_at(99999, 2).is_ok());
 }
 
 TEST_F(SegmentBackendTest, ReadersSurviveCompactionOfTheirSegment) {

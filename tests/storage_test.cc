@@ -4,7 +4,6 @@
 
 #include "storage/segment_backend.h"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -188,59 +187,6 @@ TEST(FaultyBackendTest, BudgetSharedAcrossWriters) {
   ASSERT_TRUE(w2.is_ok());
   ASSERT_TRUE((*w1)->write(as_bytes("1234")).is_ok());
   EXPECT_EQ((*w2)->write(as_bytes("1234")).code(), ErrorCode::kIoError);
-}
-
-TEST(ReaderMapTest, MemoryReaderServesZeroCopyViews) {
-  auto backend = make_memory_backend();
-  auto w = backend->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes("0123456789")).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-
-  auto r = backend->open("obj");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE((*r)->supports_map());
-  auto view = (*r)->map_at(2, 5);
-  ASSERT_TRUE(view.is_ok());
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(view->data()),
-                        view->size()),
-            "23456");
-  // Zero-length views are fine at any offset (no bytes touched).
-  auto empty = (*r)->map_at(10, 0);
-  ASSERT_TRUE(empty.is_ok());
-  EXPECT_TRUE(empty->empty());
-  // Nonempty past-EOF ranges are corruption: the caller planned them
-  // from the object's own structure.
-  EXPECT_EQ((*r)->map_at(6, 5).status().code(), ErrorCode::kCorruption);
-}
-
-TEST(ReaderMapTest, FileReaderMapMatchesRead) {
-  std::string dir = ::testing::TempDir() + "/ickpt_map_test";
-  auto backend = make_file_backend(dir);
-  ASSERT_TRUE(backend.is_ok());
-  std::string payload;
-  for (int i = 0; i < 1000; ++i) payload += "block" + std::to_string(i);
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-
-  auto r = (*backend)->open("obj");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE((*r)->supports_map());
-  // Whole object and interior windows agree byte-for-byte with read().
-  auto whole = (*r)->map_at(0, payload.size());
-  ASSERT_TRUE(whole.is_ok());
-  EXPECT_EQ(std::memcmp(whole->data(), payload.data(), payload.size()), 0);
-  auto window = (*r)->map_at(17, 4000);
-  ASSERT_TRUE(window.is_ok());
-  EXPECT_EQ(std::memcmp(window->data(), payload.data() + 17, 4000), 0);
-  // Views from the same reader alias one mapping and stay valid
-  // together.
-  EXPECT_EQ(whole->data() + 17, window->data());
-  EXPECT_EQ((*r)->map_at(payload.size(), 1).status().code(),
-            ErrorCode::kCorruption);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DirectIoTest, FallsBackWhenFilesystemRefusesODirect) {

@@ -87,7 +87,7 @@ for f in "$@"; do
       continue
     fi
   fi
-  # X9 (bench "restore") must carry both on-disk decode pairs.
+  # X9 (bench "restore") must carry the file and segment chain arms.
   if [ "$(jq -r '.bench' "$f")" = "restore" ]; then
     if ! jq -e '[.arms[].name] |
         (any(startswith("file_chain"))) and
