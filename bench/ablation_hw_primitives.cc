@@ -12,6 +12,11 @@
 // bit-identical CRCs (including crc32_combine stitching across kernel
 // boundaries), the hardware kernel is at least 3x slice-by-8 when
 // present, and on soft-only hosts auto selection lands on slice-by-8.
+//
+// The crc_combine arm times crc32_combine at the lengths the encode
+// and restore stitchers fold (4 KiB, 64 KiB, 32 MiB) and asserts that
+// stitching a 64 KiB shard's CRC costs less than hashing those 64 KiB
+// with the active kernel.
 #include "bench/bench_util.h"
 
 #include <chrono>
@@ -44,6 +49,22 @@ double crc_throughput(std::span<const std::byte> buf, std::uint64_t total,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return static_cast<double>(done) / kMB / s;
+}
+
+/// Fold `calls` combines of a `len_b`-byte range into one running CRC
+/// (the serial chain a stitch makes) and return ns per call.
+double combine_ns(std::uint64_t len_b, std::uint64_t calls,
+                  std::uint32_t* sink) {
+  std::uint32_t c = *sink;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < calls; ++i) {
+    c = crc32_combine(c, static_cast<std::uint32_t>(i), len_b);
+  }
+  const double s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  *sink = c;
+  return s * 1e9 / static_cast<double>(calls);
 }
 
 double zero_scan_throughput(std::span<const std::byte> pages,
@@ -140,11 +161,13 @@ int main(int argc, char** argv) {
   BenchJson bench_json("crc", args);
 
   std::uint32_t sink = 0;
+  double rate_of[3] = {};  // MB/s, indexed by CrcKernel
   double soft_rate = 0;
   crc32_set_kernel(CrcKernel::kSlice8);
   bench_json.run_arm("crc_soft_64k", crc_total, [&] {
     soft_rate = crc_throughput(buf, crc_total, &sink);
   });
+  rate_of[static_cast<int>(CrcKernel::kSlice8)] = soft_rate;
   table.add_row({"crc32", "slice8", TextTable::num(soft_rate, 0),
                  TextTable::num(1.0, 2)});
 
@@ -155,6 +178,7 @@ int main(int argc, char** argv) {
     bench_json.run_arm(std::string("crc_hw_") + crc32_kernel_name(k) + "_64k",
                        crc_total,
                        [&] { hw_rate = crc_throughput(buf, crc_total, &sink); });
+    rate_of[static_cast<int>(k)] = hw_rate;
     const double speedup = hw_rate / soft_rate;
     table.add_row({"crc32", crc32_kernel_name(k), TextTable::num(hw_rate, 0),
                    TextTable::num(speedup, 2)});
@@ -163,7 +187,43 @@ int main(int argc, char** argv) {
           TextTable::num(speedup, 2) + "x slice8 (want >= 3x)");
     }
   }
-  crc32_select_default_kernel();
+  const CrcKernel active = crc32_select_default_kernel();
+
+  // crc32_combine touches no payload (bytes = 0): wall_s over the
+  // 3 x kCombineCalls calls is the mean cost of one stitch.
+  struct CombineCase {
+    const char* label;
+    std::uint64_t len_b;
+    double ns = 0;
+  };
+  CombineCase combines[] = {
+      {"4 KiB", 4 * 1024}, {"64 KiB", kBufSize}, {"32 MiB", 32 * kMB}};
+  constexpr std::uint64_t kCombineCalls = 100000;
+  bench_json.run_arm("crc_combine", 0, [&] {
+    for (auto& c : combines) c.ns = combine_ns(c.len_b, kCombineCalls, &sink);
+  });
+  TextTable combine_table(std::string("Ablation X10 - crc32_combine vs "
+                                      "hashing with the active kernel (") +
+                          crc32_kernel_name(active) + ")");
+  combine_table.set_header(
+      {"len_b", "ns/combine", "ns to hash", "hash/combine"});
+  const double active_rate = rate_of[static_cast<int>(active)];
+  double hash_64k_ns = 0;
+  for (const auto& c : combines) {
+    const double hash_ns = static_cast<double>(c.len_b) /
+                           (active_rate * static_cast<double>(kMB)) * 1e9;
+    if (c.len_b == kBufSize) hash_64k_ns = hash_ns;
+    combine_table.add_row({c.label, TextTable::num(c.ns, 3),
+                           TextTable::num(hash_ns, 0),
+                           TextTable::num(hash_ns / c.ns, 0)});
+  }
+  // Stitching exists to avoid re-reading bytes; it must never cost
+  // more than hashing the range it stands for.
+  if (combines[1].ns >= hash_64k_ns) {
+    die("64 KiB crc32_combine (" + TextTable::num(combines[1].ns, 0) +
+        " ns) not cheaper than hashing 64 KiB (" +
+        TextTable::num(hash_64k_ns, 0) + " ns)");
+  }
 
   // Zero-page filter: the all-zero scan is the worst case (every byte
   // inspected); the dirty scan must be far faster via the per-block
@@ -199,6 +259,7 @@ int main(int argc, char** argv) {
   if (hits == 0) die("zero scan found no zero pages (broken filter)");
 
   finish(table, "ablation_hw_primitives.csv");
+  finish(combine_table, "ablation_hw_primitives_combine.csv");
   bench_json.write(args);
   std::cout << "crc arms hash 64 KiB resident buffers (shard-hash shape); "
                "dispatch: ICKPT_CRC_IMPL=soft|hw|auto, see docs/PERF.md\n";

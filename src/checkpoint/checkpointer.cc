@@ -146,7 +146,7 @@ struct CrcWriter {
   }
 
   /// Write a pre-encoded byte range whose finalized CRC is already
-  /// known, folding it into the stream CRC in O(log len).
+  /// known, folding it into the stream CRC without re-reading it.
   Status write_hashed(std::span<const std::byte> data, std::uint32_t data_crc) {
     crc.combine(data_crc, data.size());
     return out.write(data);

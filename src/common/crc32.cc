@@ -37,24 +37,41 @@ constexpr std::array<Table, 8> make_tables() {
 }
 constexpr auto kTables = make_tables();
 
-// ---- GF(2) matrix helpers for crc32_combine (zlib's algorithm).
-// A 32x32 bit-matrix is 32 column vectors; mat*vec is an xor-fold.
+// ---- Polynomial arithmetic mod P for crc32_combine (zlib 1.2.12's
+// method).  Polynomials are held reflected, like the CRC itself: bit 31
+// is the x^0 coefficient, so x^0 == 1u << 31 and x^1 == 1u << 30.
 
-std::uint32_t gf2_matrix_times(const std::uint32_t* mat,
-                               std::uint32_t vec) noexcept {
-  std::uint32_t sum = 0;
-  while (vec != 0) {
-    if (vec & 1u) sum ^= *mat;
-    vec >>= 1;
-    ++mat;
+/// a(x) * b(x) mod P in at most 32 steps: walk a's coefficients from
+/// x^0 up while b steps through b * x^i, stopping after a's last set
+/// bit.  Invariant: the loop terminates only for a nonzero `a`.  Every
+/// first operand here is a power of x, and x is a unit mod P (P's
+/// constant term is 1), so no power of x is ever zero mod P.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? kPoly ^ (b >> 1) : b >> 1;
   }
-  return sum;
+  return p;
 }
 
-void gf2_matrix_square(std::uint32_t* square,
-                       const std::uint32_t* mat) noexcept {
-  for (int n = 0; n < 32; ++n) square[n] = gf2_matrix_times(mat, mat[n]);
+/// kX2n[k] = x^(2^k) mod P.  x^(2^32) == x mod P, so callers index it
+/// with k & 31 for any k.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = 1u << 30;  // x^1
+  t[0] = p;
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = multmodp(p, p);
+  return t;
 }
+constexpr auto kX2n = make_x2n_table();
+static_assert(multmodp(kX2n[31], kX2n[31]) == kX2n[0],
+              "x^(2^32) == x mod P: kX2n indices wrap mod 32");
 
 // ---- Kernel dispatch.
 //
@@ -139,32 +156,15 @@ std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::uint64_t len_b) noexcept {
   if (len_b == 0) return crc_a;
 
-  // odd = the operator advancing a CRC by one zero bit; square it
-  // repeatedly and apply the factors selected by len_b's bits, so the
-  // whole shift-by-len_b costs O(log len_b) matrix squarings.
-  std::uint32_t even[32];
-  std::uint32_t odd[32];
-  odd[0] = kPoly;
-  std::uint32_t row = 1;
-  for (int n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
+  // Appending len_b bytes multiplies A's CRC by x^(8 * len_b) mod P.
+  // That power is the product of x^(2^k) over the set bits of 8 * len_b,
+  // i.e. over bit k - 3 of len_b for k = 3, 4, ...: one table multiply
+  // per set bit.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1u) shift = multmodp(kX2n[k & 31], shift);
   }
-  gf2_matrix_square(even, odd);  // shift by two zero bits
-  gf2_matrix_square(odd, even);  // shift by four zero bits
-
-  // Apply len_b zero *bytes* to crc_a, squaring toward len_b's MSB.
-  do {
-    gf2_matrix_square(even, odd);
-    if (len_b & 1u) crc_a = gf2_matrix_times(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    gf2_matrix_square(odd, even);
-    if (len_b & 1u) crc_a = gf2_matrix_times(odd, crc_a);
-    len_b >>= 1;
-  } while (len_b != 0);
-
-  return crc_a ^ crc_b;
+  return multmodp(shift, crc_a) ^ crc_b;
 }
 
 CrcKernel crc32_active_kernel() noexcept {

@@ -405,9 +405,8 @@ class DirectFileWriter final : public Writer {
 
 class FileReader final : public Reader {
  public:
-  explicit FileReader(const fs::path& path) : size_(fs::file_size(path)) {
-    is_.open(path, std::ios::binary);
-  }
+  FileReader(std::ifstream is, std::uint64_t size)
+      : is_(std::move(is)), size_(size) {}
 
   Result<std::size_t> read(std::span<std::byte> out) override {
     is_.read(reinterpret_cast<char*>(out.data()),
@@ -461,11 +460,18 @@ class FileBackend final : public StorageBackend {
     return std::unique_ptr<Writer>(std::move(w));
   }
 
+  /// Only regular files are objects: a key naming a directory (".", or
+  /// a prefix like "rank0") is kNotFound, as is an object removed
+  /// between the size check and the open.  Never throws.
   Result<std::unique_ptr<Reader>> open(const std::string& key) override {
-    fs::path p = dir_ / key;
+    const fs::path p = dir_ / key;
     std::error_code ec;
-    if (!fs::exists(p, ec)) return not_found("no such object: " + key);
-    return std::unique_ptr<Reader>(new FileReader(p));
+    if (!fs::is_regular_file(p, ec)) return not_found("no such object: " + key);
+    const std::uint64_t size = fs::file_size(p, ec);
+    if (ec) return not_found("no such object: " + key);
+    std::ifstream is(p, std::ios::binary);
+    if (!is.is_open()) return not_found("no such object: " + key);
+    return std::unique_ptr<Reader>(new FileReader(std::move(is), size));
   }
 
   Status remove(const std::string& key) override {
@@ -493,7 +499,7 @@ class FileBackend final : public StorageBackend {
 
   bool exists(const std::string& key) override {
     std::error_code ec;
-    return fs::exists(dir_ / key, ec);
+    return fs::is_regular_file(dir_ / key, ec);
   }
 
   std::uint64_t total_bytes_stored() const noexcept override {

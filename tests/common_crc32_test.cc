@@ -155,6 +155,118 @@ TEST(Crc32CombineTest, StreamingCombineMatchesUpdate) {
   EXPECT_EQ(via_combine.value(), via_update.value());
 }
 
+// ---- Oracle for crc32_combine: zlib 1.2.11's GF(2) matrix method,
+// which crc32_combine used before its table-driven rewrite.  A 32x32
+// bit-matrix is 32 column vectors; mat*vec is an xor-fold.  It squares
+// matrices on every call (tens to hundreds of microseconds), but shares
+// no code or tables with the implementation under test.
+
+std::uint32_t gf2_matrix_times(const std::uint32_t* mat, std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  while (vec != 0) {
+    if (vec & 1u) sum ^= *mat;
+    vec >>= 1;
+    ++mat;
+  }
+  return sum;
+}
+
+void gf2_matrix_square(std::uint32_t* square, const std::uint32_t* mat) {
+  for (int n = 0; n < 32; ++n) square[n] = gf2_matrix_times(mat, mat[n]);
+}
+
+std::uint32_t combine_reference(std::uint32_t crc_a, std::uint32_t crc_b,
+                                std::uint64_t len_b) {
+  if (len_b == 0) return crc_a;
+  // odd = the operator advancing a CRC by one zero bit; in the loop,
+  // even and odd alternate as the shift by 2^(k+3) zero bits for bit k
+  // of len_b.
+  std::uint32_t even[32];
+  std::uint32_t odd[32];
+  odd[0] = 0xedb88320u;
+  std::uint32_t row = 1;
+  for (int n = 1; n < 32; ++n) {
+    odd[n] = row;
+    row <<= 1;
+  }
+  gf2_matrix_square(even, odd);  // two zero bits
+  gf2_matrix_square(odd, even);  // four zero bits
+  do {
+    gf2_matrix_square(even, odd);
+    if (len_b & 1u) crc_a = gf2_matrix_times(even, crc_a);
+    len_b >>= 1;
+    if (len_b == 0) break;
+    gf2_matrix_square(odd, even);
+    if (len_b & 1u) crc_a = gf2_matrix_times(odd, crc_a);
+    len_b >>= 1;
+  } while (len_b != 0);
+  return crc_a ^ crc_b;
+}
+
+std::uint32_t random_crc(Rng& rng) {
+  return static_cast<std::uint32_t>(rng.next_u64());
+}
+
+TEST(Crc32CombineOracleTest, ZeroLengthMatchesOracle) {
+  Rng rng(9);
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::uint32_t a = random_crc(rng);
+    const std::uint32_t b = random_crc(rng);
+    EXPECT_EQ(crc32_combine(a, b, 0), combine_reference(a, b, 0));
+  }
+}
+
+TEST(Crc32CombineOracleTest, EverySingleBitLengthMatchesOracle) {
+  Rng rng(10);
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::uint64_t len = std::uint64_t{1} << bit;
+    const std::uint32_t a = random_crc(rng);
+    const std::uint32_t b = random_crc(rng);
+    EXPECT_EQ(crc32_combine(a, b, len), combine_reference(a, b, len))
+        << "len=2^" << bit;
+  }
+}
+
+TEST(Crc32CombineOracleTest, LengthsThatWrapThePowerTableMatchOracle) {
+  // Bit j of len_b multiplies by x^(2^(j+3)), so every set bit from
+  // 2^29 up reads a wrapped table entry (k & 31).  These lengths (all
+  // but two at least 2^32) use wrapped entries only, or mix them with
+  // low ones.
+  Rng rng(11);
+  const std::uint64_t lens[] = {
+      std::uint64_t{1} << 29,
+      (std::uint64_t{1} << 32) - 1,
+      std::uint64_t{1} << 32,
+      (std::uint64_t{1} << 32) + 1,
+      (std::uint64_t{1} << 33) + 4096,
+      (std::uint64_t{3} << 32) + 65536,
+      (std::uint64_t{1} << 40) + 123,
+      0x0123456789abcdefull,
+      0x8000000000000001ull,
+      0xfffffffff0000000ull,
+      ~std::uint64_t{0},
+  };
+  for (std::uint64_t len : lens) {
+    const std::uint32_t a = random_crc(rng);
+    const std::uint32_t b = random_crc(rng);
+    EXPECT_EQ(crc32_combine(a, b, len), combine_reference(a, b, len))
+        << "len=" << len;
+  }
+}
+
+TEST(Crc32CombineOracleTest, RandomLengthsAndCrcsMatchOracle) {
+  // Random 64-bit lengths shifted right by a random amount, so every
+  // bit width from 1 to 64 is sampled, with random CRC pairs.
+  Rng rng(12);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t len = rng.next_u64() >> rng.next_index(64);
+    const std::uint32_t a = random_crc(rng);
+    const std::uint32_t b = random_crc(rng);
+    ASSERT_EQ(crc32_combine(a, b, len), combine_reference(a, b, len))
+        << "len=" << len << " a=" << a << " b=" << b;
+  }
+}
+
 /// Swap the process-wide CRC kernel for one test, restoring on exit.
 class ScopedKernel {
  public:

@@ -250,6 +250,41 @@ TEST_F(NetRemoteTest, RestoreToleratesDamageTheSameWayOverTheNetwork) {
   EXPECT_LT(recovered->sequence, pristine->sequence);
 }
 
+// Regression: a key naming a directory in the served file store (".",
+// or a prefix such as "rank0") made FileBackend::open throw
+// std::filesystem::filesystem_error inside the daemon, which aborted
+// it.  The daemon's STAT (behind open/exists here) and GET both open
+// the key through the backend; they now answer kNotFound, and the
+// daemon keeps serving.
+TEST_F(NetRemoteTest, DirectoryKeysAreNotFoundAndDaemonKeepsServing) {
+  auto remote = connect();
+  const std::string payload = "checkpoint bytes";
+  const std::span<const std::byte> bytes{
+      reinterpret_cast<const std::byte*>(payload.data()), payload.size()};
+  auto put = [&](const std::string& key) {
+    auto writer = remote->create(key);
+    ASSERT_TRUE(writer.is_ok()) << writer.status().message();
+    ASSERT_TRUE((*writer)->write(bytes).is_ok());
+    ASSERT_TRUE((*writer)->close().is_ok());
+  };
+  put("rank0/ckpt-1");
+
+  for (const char* key : {".", "rank0"}) {
+    EXPECT_EQ(remote->open(key).status().code(), ErrorCode::kNotFound)
+        << key;
+    EXPECT_FALSE(remote->exists(key)) << key;
+  }
+
+  put("rank0/ckpt-2");
+  for (const char* key : {"rank0/ckpt-1", "rank0/ckpt-2"}) {
+    const auto got = read_object(*remote, key);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(got.data()),
+                          got.size()),
+              payload)
+        << key;
+  }
+}
+
 // Acceptance: the same chain pushed through a live daemon serving a
 // SegmentBackend restores byte-identically to a local FileBackend
 // chain — the network store works unchanged over the log-structured

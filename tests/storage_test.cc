@@ -124,6 +124,22 @@ TEST_P(BackendParamTest, OpenMissingKeyFails) {
   EXPECT_EQ(backend_->open("nope").status().code(), ErrorCode::kNotFound);
 }
 
+TEST_P(BackendParamTest, OpenNonObjectKeyIsNotFound) {
+  // "rank0" is a key prefix (a directory in the file store) and "." the
+  // store root: neither is an object, so open() must say kNotFound
+  // rather than throw or hand back a reader that fails later.
+  auto w = backend_->create("rank0/ckpt-1");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(as_bytes("payload")).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+  for (const char* key : {"rank0", "."}) {
+    EXPECT_EQ(backend_->open(key).status().code(), ErrorCode::kNotFound)
+        << key;
+    EXPECT_FALSE(backend_->exists(key)) << key;
+  }
+  EXPECT_EQ(read_all(*backend_, "rank0/ckpt-1"), "payload");
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParamTest,
                          ::testing::Values("file", "memory", "segment"),
                          [](const auto& info) { return info.param; });

@@ -53,13 +53,15 @@ for f in "$@"; do
   fi
   # X10 (bench "crc") must always carry the portable baseline and the
   # zero-page arms, whatever kernels the host CPU offers — they are the
-  # denominators every speedup claim divides by.
+  # denominators every speedup claim divides by — and the crc_combine
+  # arm that prices the CRC stitch of encode and restore.
   if [ "$(jq -r '.bench' "$f")" = "crc" ]; then
     if ! jq -e '[.arms[].name] |
         (index("crc_soft_64k") != null) and
+        (index("crc_combine") != null) and
         (index("zero_page_scan_allzero") != null) and
         (index("zero_page_scan_dirty") != null)' "$f" > /dev/null; then
-      echo "FAIL $f: crc bench missing baseline arms" >&2
+      echo "FAIL $f: crc bench missing baseline or crc_combine arms" >&2
       status=1
       continue
     fi
