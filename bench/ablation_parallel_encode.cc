@@ -1,10 +1,10 @@
 // Ablation X8: the parallel checkpoint encode pipeline.
 //
-// Sweeps encode threads x {compress on/off} x {sync/async} over a
-// fixed dirty set and reports encode+CRC+write throughput as seen by
-// the application thread — the quantity that bounds checkpoint
-// intrusiveness (§6.5).  The dirty set mixes zero, RLE-able and
-// random pages so compression does real work without dominating.
+// Sweeps encode threads x {compress on/off} over a fixed dirty set and
+// reports encode+CRC+write throughput as seen by the application
+// thread — the quantity that bounds checkpoint intrusiveness (§6.5).
+// The dirty set mixes zero, RLE-able and random pages so compression
+// does real work without dominating.
 #include "bench/bench_util.h"
 
 #include <chrono>
@@ -13,7 +13,6 @@
 
 #include "checkpoint/checkpointer.h"
 #include "common/page.h"
-#include "obs/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "memtrack/explicit_engine.h"
@@ -52,15 +51,13 @@ void fill_mixed(std::span<std::byte> mem, Rng& rng) {
 }
 
 /// Seconds the application thread spends producing `reps` full
-/// checkpoints into `storage` (including the async flush barrier at
-/// the end, so sync and async move the same bytes).
+/// checkpoints into `storage`; each is published when its call returns.
 double time_config_into(region::AddressSpace& space,
                         storage::StorageBackend& storage, int threads,
-                        bool compress, bool async, int reps) {
+                        bool compress, int reps) {
   checkpoint::CheckpointerOptions opts;
   opts.compress = compress;
   opts.encode_threads = threads;
-  opts.async = async;
   auto ckpt =
       checkpoint::Checkpointer::create(space, &storage, opts).value();
 
@@ -73,15 +70,14 @@ double time_config_into(region::AddressSpace& space,
       std::exit(1);
     }
   }
-  if (!ckpt->flush().is_ok()) std::exit(1);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
 double time_config(region::AddressSpace& space, int threads, bool compress,
-                   bool async, int reps) {
+                   int reps) {
   auto storage = storage::make_null_backend();
-  return time_config_into(space, *storage, threads, compress, async, reps);
+  return time_config_into(space, *storage, threads, compress, reps);
 }
 
 /// Seconds to publish `count` small objects (one incremental-sized
@@ -136,63 +132,46 @@ int main(int argc, char** argv) {
                   TextTable::num(set_mb, 0) + " MB dirty set, full "
                   "checkpoints x" + TextTable::num(reps, 0) + ", " +
                   TextTable::num(hw, 0) + " hardware threads)");
-  table.set_header({"Threads", "Compress", "Mode", "Seconds", "MB/s",
+  table.set_header({"Threads", "Compress", "Sink", "Seconds", "MB/s",
                     "Speedup vs 1T"});
 
   BenchJson bench_json("encode", args);
   const std::uint64_t arm_bytes =
       block->mem.size() * static_cast<std::uint64_t>(reps);
   for (bool compress : {true, false}) {
-    for (bool async : {false, true}) {
-      double base_rate = 0;
-      for (int threads : thread_sweep) {
-        const std::string arm_name =
-            "t" + std::to_string(threads) +
-            (compress ? "_compress" : "_raw") + (async ? "_async" : "_sync");
-        double secs = 0;
-        bench_json.run_arm(arm_name, arm_bytes, [&] {
-          secs = time_config(space, threads, compress, async, reps);
-        });
-        const double rate = set_mb * reps / secs;
-        if (threads == 1) base_rate = rate;
-        table.add_row({TextTable::num(threads, 0),
-                       compress ? "on" : "off", async ? "async" : "sync",
-                       TextTable::num(secs, 3), TextTable::num(rate, 0),
-                       TextTable::num(base_rate > 0 ? rate / base_rate : 1,
-                                      2)});
-      }
+    double base_rate = 0;
+    for (int threads : thread_sweep) {
+      // The "_sync" suffix keeps arm names comparable with older records.
+      const std::string arm_name = "t" + std::to_string(threads) +
+                                   (compress ? "_compress" : "_raw") + "_sync";
+      double secs = 0;
+      bench_json.run_arm(arm_name, arm_bytes, [&] {
+        secs = time_config(space, threads, compress, reps);
+      });
+      const double rate = set_mb * reps / secs;
+      if (threads == 1) base_rate = rate;
+      table.add_row({TextTable::num(threads, 0), compress ? "on" : "off",
+                     "null", TextTable::num(secs, 3), TextTable::num(rate, 0),
+                     TextTable::num(base_rate > 0 ? rate / base_rate : 1, 2)});
     }
   }
-  // File-sink arms: the same encode against a real filesystem, once
-  // buffered and once through the O_DIRECT staging writer.  On
-  // filesystems that refuse O_DIRECT (tmpfs CI) the direct arm
-  // transparently degrades to buffered — the fallback column says
-  // which path actually ran.
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
+  // File-sink arm: the same encode against a real filesystem.
   const int file_threads = thread_sweep.back();
-  for (bool direct : {false, true}) {
+  {
     const std::string dir = "ablation_parallel_encode_sink";
     std::filesystem::remove_all(dir);
-    storage::FileBackendOptions fopts;
-    fopts.direct_io = direct;
-    auto file_backend = storage::make_file_backend(dir, fopts);
+    auto file_backend = storage::make_file_backend(dir);
     if (!file_backend.is_ok()) {
       std::cerr << "file backend: " << file_backend.status().to_string()
                 << "\n";
       return 1;
     }
-    const std::uint64_t fb0 = fallbacks.value();
     double secs = 0;
-    const std::string arm_name =
-        direct ? "file_direct_write" : "file_buffered_write";
-    bench_json.run_arm(arm_name, arm_bytes, [&] {
+    bench_json.run_arm("file_buffered_write", arm_bytes, [&] {
       secs = time_config_into(space, **file_backend, file_threads,
-                              /*compress=*/false, /*async=*/false, reps);
+                              /*compress=*/false, reps);
     });
-    const bool fell_back = fallbacks.value() > fb0;
-    table.add_row({TextTable::num(file_threads, 0), "off",
-                   direct ? (fell_back ? "direct->buffered" : "direct")
-                          : "file buffered",
+    table.add_row({TextTable::num(file_threads, 0), "off", "file",
                    TextTable::num(secs, 3),
                    TextTable::num(set_mb * reps / secs, 0),
                    TextTable::num(1.0, 2)});
@@ -212,7 +191,7 @@ int main(int argc, char** argv) {
     double secs = 0;
     bench_json.run_arm("segment_write", arm_bytes, [&] {
       secs = time_config_into(space, **seg_backend, file_threads,
-                              /*compress=*/false, /*async=*/false, reps);
+                              /*compress=*/false, reps);
     });
     table.add_row({TextTable::num(file_threads, 0), "off", "segment",
                    TextTable::num(secs, 3),
@@ -266,8 +245,7 @@ int main(int argc, char** argv) {
   finish(table, "ablation_parallel_encode.csv");
   bench_json.write(args);
   std::cout << "sharded encode + CRC combine lifts the single-core "
-               "ceiling on checkpoint intrusiveness; async overlaps "
-               "the device\n";
+               "ceiling on checkpoint intrusiveness\n";
   if (hw < 2) {
     std::cout << "note: only " << hw << " hardware thread available -- "
                  "speedup columns reflect scheduling overhead, not "

@@ -34,11 +34,9 @@ struct CkptMetrics {
   obs::Histogram& crc_ns;
   obs::Histogram& write_ns;
   obs::Histogram& encode_stall_ns;
-  obs::Histogram& flush_ns;
   std::uint16_t t_plan;         ///< "ckpt.plan" span
   std::uint16_t t_encode_shard; ///< "ckpt.encode_shard" span
   std::uint16_t t_write;        ///< "ckpt.write" span
-  std::uint16_t t_flush;        ///< "ckpt.flush" span
 
   static CkptMetrics& get() {
     auto& r = obs::registry();
@@ -55,12 +53,10 @@ struct CkptMetrics {
                          r.histogram("ckpt.crc_ns"),
                          r.histogram("ckpt.write_ns"),
                          r.histogram("ckpt.encode_stall_ns"),
-                         r.histogram("ckpt.flush_ns"),
                          obs::trace_name("ckpt.plan", obs::TraceCat::kCkpt),
                          obs::trace_name("ckpt.encode_shard",
                                          obs::TraceCat::kCkpt),
-                         obs::trace_name("ckpt.write", obs::TraceCat::kCkpt),
-                         obs::trace_name("ckpt.flush", obs::TraceCat::kCkpt)};
+                         obs::trace_name("ckpt.write", obs::TraceCat::kCkpt)};
     return m;
   }
 };
@@ -85,9 +81,6 @@ Checkpointer::Checkpointer(region::AddressSpace& space,
   if (options_.encode_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(options_.encode_threads));
-  }
-  if (options_.async) {
-    async_ = std::make_unique<storage::AsyncWriter>(storage_);
   }
 }
 
@@ -151,24 +144,6 @@ struct CrcWriter {
     crc.combine(data_crc, data.size());
     return out.write(data);
   }
-};
-
-/// Writer that accumulates the object in memory (async mode: the
-/// buffer is handed to the AsyncWriter once complete).
-class VectorWriter final : public storage::Writer {
- public:
-  Status write(std::span<const std::byte> data) override {
-    buf_.insert(buf_.end(), data.begin(), data.end());
-    return Status::ok();
-  }
-  Status close() override { return Status::ok(); }
-  std::uint64_t bytes_written() const noexcept override {
-    return buf_.size();
-  }
-  std::vector<std::byte> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::byte> buf_;
 };
 
 /// One unit of parallel encoding: a contiguous page range of one run.
@@ -366,20 +341,12 @@ Result<CheckpointMeta> Checkpointer::write_object(
     }
   }
 
-  // ---- Sink: the backend directly (sync), or an in-memory buffer
-  // that is submitted to the background writer once complete (async).
-  std::unique_ptr<storage::Writer> sink;
-  VectorWriter* vec = nullptr;
-  if (async_ != nullptr) {
-    auto v = std::make_unique<VectorWriter>();
-    vec = v.get();
-    sink = std::move(v);
-  } else {
-    auto writer = storage_.create(key);
-    if (!writer.is_ok()) return writer.status();
-    sink = std::move(*writer);
-  }
-  CrcWriter w{*sink, {}};
+  // ---- Sink: this thread writes the object straight into the store;
+  // it is published when close() returns OK.
+  auto writer = storage_.create(key);
+  if (!writer.is_ok()) return writer.status();
+  storage::Writer& sink = **writer;
+  CrcWriter w{sink, {}};
 
   FileHeader header;
   header.kind = static_cast<std::uint16_t>(kind);
@@ -441,23 +408,19 @@ Result<CheckpointMeta> Checkpointer::write_object(
   FileTrailer trailer;
   trailer.crc32 = w.crc.value();
   ICKPT_RETURN_IF_ERROR(
-      sink->write({reinterpret_cast<const std::byte*>(&trailer),
-                   sizeof trailer}));
-  ICKPT_RETURN_IF_ERROR(sink->close());
+      sink.write({reinterpret_cast<const std::byte*>(&trailer),
+                  sizeof trailer}));
+  ICKPT_RETURN_IF_ERROR(sink.close());
 
   CheckpointMeta meta;
   meta.sequence = seq;
   meta.kind = kind;
   meta.key = key;
   meta.payload_pages = payload_pages;
-  meta.file_bytes = sink->bytes_written();
+  meta.file_bytes = sink.bytes_written();
   meta.zero_pages = zero_pages;
   meta.rle_pages = rle_pages;
   meta.virtual_time = virtual_time;
-
-  if (vec != nullptr) {
-    ICKPT_RETURN_IF_ERROR(async_->submit(key, vec->take()));
-  }
 
   metrics.objects.inc();
   (kind == Kind::kFull ? metrics.full : metrics.incremental).inc();
@@ -468,14 +431,6 @@ Result<CheckpointMeta> Checkpointer::write_object(
   return meta;
 }
 
-Status Checkpointer::flush() {
-  if (async_ == nullptr) return Status::ok();
-  auto& metrics = CkptMetrics::get();
-  obs::ScopedTimer timer(metrics.flush_ns);
-  obs::TraceSpan span(metrics.t_flush);
-  return async_->flush();
-}
-
 Status Checkpointer::truncate_before_last_full() {
   // Find the newest full checkpoint.
   auto it = std::find_if(chain_.rbegin(), chain_.rend(),
@@ -483,8 +438,6 @@ Status Checkpointer::truncate_before_last_full() {
                            return m.kind == Kind::kFull;
                          });
   if (it == chain_.rend()) return Status::ok();
-  // Removal races with queued writes in async mode; drain first.
-  ICKPT_RETURN_IF_ERROR(flush());
   std::size_t keep_from = chain_.size() - 1 -
                           static_cast<std::size_t>(it - chain_.rbegin());
   for (std::size_t i = 0; i < keep_from; ++i) {

@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "memtrack/tracker.h"
 #include "region/address_space.h"
-#include "storage/async_writer.h"
 #include "storage/backend.h"
 
 namespace ickpt::checkpoint {
@@ -37,10 +36,6 @@ struct CheckpointerOptions {
   /// Worker threads for page encoding; <= 1 encodes inline on the
   /// calling thread.  The output bytes are identical either way.
   int encode_threads = 1;
-  /// Overlap device latency with computation: encode each checkpoint
-  /// into memory and hand it to a background writer thread.  flush()
-  /// is the durability barrier; write errors surface there.
-  bool async = false;
 };
 
 struct CheckpointMeta {
@@ -81,12 +76,6 @@ class Checkpointer {
   /// full checkpoint (they can never be needed again).
   Status truncate_before_last_full();
 
-  /// Durability barrier.  In async mode, blocks until every submitted
-  /// checkpoint has reached the backend and returns the first write
-  /// error, if any; in sync mode it is a no-op.  Call before reading
-  /// the store back (restore, fsck) or declaring a step committed.
-  Status flush();
-
   std::uint64_t next_sequence() const noexcept { return next_seq_; }
 
  private:
@@ -104,8 +93,7 @@ class Checkpointer {
   region::AddressSpace& space_;
   storage::StorageBackend& storage_;
   CheckpointerOptions options_;
-  std::unique_ptr<ThreadPool> pool_;           ///< encode_threads > 1
-  std::unique_ptr<storage::AsyncWriter> async_;///< options_.async
+  std::unique_ptr<ThreadPool> pool_;  ///< encode_threads > 1
   std::vector<CheckpointMeta> chain_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t since_full_ = 0;

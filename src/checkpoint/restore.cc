@@ -252,13 +252,13 @@ struct ObjectPlan {
 
 /// Buffered scanner over a storage::Reader that separates structural
 /// bytes (CRC'd now) from payload bytes (skipped now, CRC'd by decode
-/// shards).  Works on random-access and purely sequential readers.
+/// shards).  Reads through read_at(), so a skip past the buffer is a
+/// jump, not a read.
 class ObjectScanner {
  public:
   static constexpr std::size_t kBufSize = 64 * 1024;
 
-  explicit ObjectScanner(storage::Reader& in)
-      : in_(in), random_(in.supports_read_at()) {}
+  explicit ObjectScanner(storage::Reader& in) : in_(in) {}
 
   /// Read bytes without CRC accounting (PageRecords, the trailer).
   Status read_plain(void* out, std::size_t len) {
@@ -284,24 +284,11 @@ class ObjectScanner {
     return Status::ok();
   }
 
-  /// Skip payload bytes.  Random-access readers jump; sequential ones
-  /// read through a scratch window.
-  Status skip(std::uint64_t len) {
-    while (len > 0) {
-      if (pos_ < len_) {
-        auto n = std::min<std::uint64_t>(len, len_ - pos_);
-        pos_ += static_cast<std::size_t>(n);
-        offset_ += n;
-        len -= n;
-        continue;
-      }
-      if (random_) {
-        offset_ += len;
-        return Status::ok();
-      }
-      ICKPT_RETURN_IF_ERROR(refill());
-    }
-    return Status::ok();
+  /// Skip payload bytes: consume what is buffered, jump over the rest.
+  void skip(std::uint64_t len) {
+    const auto buffered = std::min<std::uint64_t>(len, len_ - pos_);
+    pos_ += static_cast<std::size_t>(buffered);
+    offset_ += len;
   }
 
   /// Close the current structural segment, if any, into `segs`.
@@ -324,10 +311,7 @@ class ObjectScanner {
     buf_.resize(kBufSize);
     pos_ = 0;
     len_ = 0;
-    Result<std::size_t> got = random_
-                                  ? in_.read_at(offset_, {buf_.data(),
-                                                          buf_.size()})
-                                  : in_.read({buf_.data(), buf_.size()});
+    auto got = in_.read_at(offset_, {buf_.data(), buf_.size()});
     if (!got.is_ok()) return got.status();
     if (*got == 0) return corruption("truncated checkpoint file");
     len_ = *got;
@@ -335,7 +319,6 @@ class ObjectScanner {
   }
 
   storage::Reader& in_;
-  bool random_;
   std::uint64_t offset_ = 0;  ///< logical position == buffer start + pos_
   std::vector<std::byte> buf_;
   std::size_t pos_ = 0;
@@ -420,7 +403,7 @@ Result<ObjectPlan> scan_object(storage::StorageBackend& storage,
         pe.block_id = bh.block_id;
         pe.page_index = run.first_page + p;
         out.pages.push_back(pe);
-        ICKPT_RETURN_IF_ERROR(in.skip(rec.payload_len));
+        in.skip(rec.payload_len);
       }
       seg.length = in.offset() - seg.offset;
       out.segments.push_back(seg);
@@ -472,29 +455,17 @@ struct DecodeShard {
   Status status;  ///< per-shard result
 };
 
-/// Read [offset, offset+len) of an object into `out`, preferring
-/// random access and falling back to a sequential skip-read.
+/// Read [offset, offset+len) of an object into `out` with read_at().
 Status read_range(storage::Reader& in, std::uint64_t offset,
                   std::span<std::byte> out) {
-  if (in.supports_read_at()) {
-    // `rest` is the still-unfilled tail of `out`.
-    return fill_exact(
-        [&](std::span<std::byte> rest) {
-          return in.read_at(offset + static_cast<std::uint64_t>(
-                                         rest.data() - out.data()),
-                            rest);
-        },
-        out);
-  }
-  // Sequential reader: discard up to `offset`, then read-exact.
-  std::vector<std::byte> scratch(ObjectScanner::kBufSize);
-  for (std::uint64_t to_skip = offset; to_skip > 0;) {
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(to_skip, scratch.size()));
-    ICKPT_RETURN_IF_ERROR(fill_exact(sequential(in), {scratch.data(), n}));
-    to_skip -= n;
-  }
-  return fill_exact(sequential(in), out);
+  // `rest` is the still-unfilled tail of `out`.
+  return fill_exact(
+      [&](std::span<std::byte> rest) {
+        return in.read_at(
+            offset + static_cast<std::uint64_t>(rest.data() - out.data()),
+            rest);
+      },
+      out);
 }
 
 /// Decode one shard: read its byte range into a shard buffer, CRC it,

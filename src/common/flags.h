@@ -6,10 +6,10 @@
 // hard errors, not silent no-ops.
 //
 //   std::string app = "sage-1000";
-//   bool async = false;
+//   bool no_compress = false;
 //   FlagSet flags("ickpt study");
 //   flags.add_string("app", &app, "application to study");
-//   flags.add_bool("async", &async, "overlap backend writes");
+//   flags.add_bool("no-compress", &no_compress, "store pages verbatim");
 //   ICKPT_RETURN_IF_ERROR(flags.parse(argc, argv, 2));
 //
 // Accepted syntax: --name value, --name=value; booleans additionally

@@ -90,7 +90,6 @@ RankOutcome run_rank(const StudyConfig& config, double run_vs,
     checkpoint::CheckpointerOptions copts;
     copts.compress = config.compress;
     copts.encode_threads = config.encode_threads;
-    copts.async = config.async_writes;
     auto made = checkpoint::Checkpointer::create((*app)->space(),
                                                  ckpt_metered.get(), copts);
     if (!made.is_ok()) {
@@ -169,11 +168,7 @@ RankOutcome run_rank(const StudyConfig& config, double run_vs,
   };
   out.status = run();
   if (tracked && sampler.running()) sampler.stop();
-  if (ckpt != nullptr) {
-    auto flushed = ckpt->flush();  // async barrier; no-op in sync mode
-    if (out.status.is_ok() && !flushed.is_ok()) out.status = flushed;
-    out.ckpt_bytes = ckpt_backend->total_bytes_stored();
-  }
+  if (ckpt != nullptr) out.ckpt_bytes = ckpt_backend->total_bytes_stored();
   if (out.status.is_ok() && !ckpt_status.is_ok()) out.status = ckpt_status;
   out.series = sampler.take_series();
   out.iterations = (*app)->iterations();

@@ -41,7 +41,6 @@ struct StudyConfig {
   /// one-file-per-object (storage::SegmentBackend vs FileBackend).
   bool segment_store = false;
   int encode_threads = 1;       ///< page-encode workers (see Checkpointer)
-  bool async_writes = false;    ///< overlap backend I/O via AsyncWriter
   bool compress = true;         ///< per-page compression for the chain
 };
 
@@ -69,8 +68,8 @@ struct StudyResult {
   double ckpt_encode_seconds = 0;   ///< wall time inside the writer
 
   /// Process-wide observability snapshot taken when the study ended:
-  /// fault-handler cost, per-stage checkpoint timing, storage and
-  /// async-queue metrics (see obs/metrics.h).  `ickpt study --stats`
+  /// fault-handler cost, per-stage checkpoint timing and storage
+  /// metrics (see obs/metrics.h).  `ickpt study --stats`
   /// prints it; obs::Snapshot::to_json() serializes it.
   obs::Snapshot metrics;
 };

@@ -6,15 +6,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <thread>
+#include <string_view>
 
 #include "common/io_util.h"
 #include "obs/metrics.h"
@@ -28,20 +26,6 @@ namespace fs = std::filesystem;
 // ------------------------------------------------------------------- file
 
 namespace {
-
-/// Direct-I/O observability: fallbacks (O_DIRECT refused — probe
-/// failure or a mid-stream EINVAL) and writers that ran direct.
-struct DirectIoMetrics {
-  obs::Counter& fallbacks;
-  obs::Counter& writers;
-
-  static DirectIoMetrics& get() {
-    auto& r = obs::registry();
-    static DirectIoMetrics m{r.counter("storage.direct_io_fallback"),
-                             r.counter("storage.direct_io_writers")};
-    return m;
-  }
-};
 
 /// Durable-publish observability, shared by every backend that syncs:
 /// fsync/fdatasync syscalls issued and the wall time one publish
@@ -61,20 +45,11 @@ struct SyncMetrics {
   }
 };
 
-// Test-only fault injection (see testing_hooks in backend.h).
-std::atomic<std::size_t> g_forced_direct_block{0};
-std::atomic<int> g_einval_writes{0};
+constexpr std::string_view kTmpSuffix = ".tmp";
 
-/// True when the test hook says this write syscall must fail EINVAL.
-bool consume_einval_fault() {
-  int n = g_einval_writes.load(std::memory_order_relaxed);
-  while (n > 0) {
-    if (g_einval_writes.compare_exchange_weak(n, n - 1,
-                                              std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
+/// True for the name of a write not yet published by close().
+bool is_tmp_name(std::string_view name) {
+  return name.ends_with(kTmpSuffix);
 }
 
 /// fdatasync `fd`, counting the call; kIoError on failure.
@@ -105,53 +80,6 @@ Status sync_parent_dir(const fs::path& child) {
                     std::strerror(errno));
   }
   return Status::ok();
-}
-
-/// Block-aligned heap buffer for O_DIRECT staging.
-class AlignedBuf {
- public:
-  AlignedBuf(std::size_t alignment, std::size_t size) {
-    if (::posix_memalign(&p_, alignment, size) != 0) p_ = nullptr;
-  }
-  ~AlignedBuf() { std::free(p_); }
-  AlignedBuf(const AlignedBuf&) = delete;
-  AlignedBuf& operator=(const AlignedBuf&) = delete;
-
-  unsigned char* data() noexcept { return static_cast<unsigned char*>(p_); }
-
- private:
-  void* p_ = nullptr;
-};
-
-/// Probe the logical block size O_DIRECT needs under `dir`: open a
-/// scratch file with O_DIRECT and try a 512-byte, then a 4-KiB
-/// aligned write.  Returns the smallest size that works, or 0 when
-/// the filesystem refuses direct I/O outright (tmpfs and some overlay
-/// mounts fail the open or every write with EINVAL).  Called once per
-/// backend directory; the result is cached by FileBackend.
-std::size_t probe_direct_block_size(const fs::path& dir) {
-  const fs::path probe = dir / ".ickpt-dio-probe.tmp";
-  int fd = ::open(probe.c_str(),
-                  O_WRONLY | O_CREAT | O_TRUNC | O_DIRECT | O_CLOEXEC, 0644);
-  std::size_t found = 0;
-  if (fd >= 0) {
-    AlignedBuf buf(4096, 4096);  // 4 KiB alignment satisfies both probes
-    if (buf.data() != nullptr) {
-      std::memset(buf.data(), 0, 4096);
-      for (std::size_t cand : {std::size_t{512}, std::size_t{4096}}) {
-        if (::pwrite(fd, buf.data(), cand, 0) ==
-            static_cast<ssize_t>(cand)) {
-          found = cand;
-          break;
-        }
-        if (errno != EINVAL) break;
-      }
-    }
-    ::close(fd);
-  }
-  std::error_code ec;
-  fs::remove(probe, ec);
-  return found;
 }
 
 /// Publish `tmp` as `final_path`: optionally fdatasync the written
@@ -228,181 +156,6 @@ class FileWriter final : public Writer {
   std::atomic<std::uint64_t>* total_;
 };
 
-/// O_DIRECT writer: payload accumulates in a block-aligned staging
-/// buffer and leaves in whole-buffer direct writes; close() writes the
-/// remaining full blocks direct, then drops O_DIRECT (fcntl) for the
-/// sub-block tail, so arbitrary object sizes need no padding and the
-/// on-disk bytes are identical to the buffered writer's.  Any EINVAL
-/// mid-stream (stale probe, filesystem boundary) permanently downgrades
-/// this writer to buffered writes on the same fd — transparent to the
-/// caller, counted in storage.direct_io_fallback.
-class DirectFileWriter final : public Writer {
- public:
-  /// 1 MiB staging: large enough to amortize syscalls, a multiple of
-  /// every probe-able block size.
-  static constexpr std::size_t kStageSize = 1u << 20;
-
-  DirectFileWriter(fs::path tmp, fs::path final_path, std::size_t block,
-                   bool durable, std::atomic<std::uint64_t>* total)
-      : tmp_(std::move(tmp)),
-        final_(std::move(final_path)),
-        total_(total),
-        block_(block),
-        durable_(durable),
-        stage_(block, kStageSize) {
-    fd_ = ::open(tmp_.c_str(),
-                 O_WRONLY | O_CREAT | O_TRUNC | O_DIRECT | O_CLOEXEC, 0644);
-    if (fd_ < 0 && errno == EINVAL) {
-      // The probe said yes but this file says no (e.g. a bind mount
-      // inside the directory): degrade instead of failing the write.
-      DirectIoMetrics::get().fallbacks.inc();
-      direct_ = false;
-      fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                   0644);
-    }
-    if (direct_) DirectIoMetrics::get().writers.inc();
-  }
-
-  ~DirectFileWriter() override {
-    if (!closed_) {
-      if (fd_ >= 0) ::close(fd_);
-      std::error_code ec;
-      fs::remove(tmp_, ec);  // abort: discard partial object
-    }
-  }
-
-  Status write(std::span<const std::byte> data) override {
-    if (closed_) return failed_precondition("write after close");
-    if (fd_ < 0 || stage_.data() == nullptr) {
-      return io_error("direct writer open failed: " + tmp_.string());
-    }
-    const auto* src = reinterpret_cast<const unsigned char*>(data.data());
-    std::size_t left = data.size();
-    while (left > 0) {
-      const std::size_t n = std::min(left, kStageSize - fill_);
-      std::memcpy(stage_.data() + fill_, src, n);
-      fill_ += n;
-      src += n;
-      left -= n;
-      if (fill_ == kStageSize) {
-        ICKPT_RETURN_IF_ERROR(drain(kStageSize));
-      }
-    }
-    bytes_ += data.size();
-    return Status::ok();
-  }
-
-  Status close() override {
-    if (closed_) return Status::ok();
-    if (fd_ < 0) return io_error("direct writer open failed: " + tmp_.string());
-    // Full blocks leave direct; the tail needs the flag off.
-    const std::size_t full = fill_ - fill_ % block_;
-    if (full > 0) ICKPT_RETURN_IF_ERROR(drain(full));
-    if (fill_ > 0) {
-      drop_direct();
-      ICKPT_RETURN_IF_ERROR(drain(fill_));
-    }
-    auto st = publish_file(fd_, tmp_, final_, durable_);
-    fd_ = -1;  // publish_file consumed it
-    ICKPT_RETURN_IF_ERROR(st);
-    closed_ = true;
-    total_->fetch_add(bytes_, std::memory_order_relaxed);
-    return Status::ok();
-  }
-
-  std::uint64_t bytes_written() const noexcept override { return bytes_; }
-
- private:
-  /// One data-write syscall, with the test fault hook applied.
-  ssize_t raw_write(const void* buf, std::size_t n) {
-    if (consume_einval_fault()) {
-      errno = EINVAL;
-      return -1;
-    }
-    return ::write(fd_, buf, n);
-  }
-
-  /// Write the first `n` staged bytes at the current file offset.  On
-  /// EINVAL in direct mode, downgrade to buffered and retry.  EINVAL
-  /// can also surface *after* the downgrade (the F_SETFL drop is
-  /// advisory — some filesystems keep rejecting unaligned writes on an
-  /// fd opened O_DIRECT): that lands in the same counted fallback path
-  /// by reopening the tmp file without O_DIRECT at the current offset,
-  /// never in an opaque io_error.
-  Status drain(std::size_t n) {
-    std::size_t done = 0;
-    while (done < n && direct_) {
-      ssize_t got = raw_write(stage_.data() + done, n - done);
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EINVAL) {
-          DirectIoMetrics::get().fallbacks.inc();
-          drop_direct();
-          break;  // remainder goes through the buffered path below
-        }
-        return io_error("file write failed: " + tmp_.string());
-      }
-      done += static_cast<std::size_t>(got);
-    }
-    while (done < n) {
-      ssize_t got = raw_write(stage_.data() + done, n - done);
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EINVAL && !reopened_) {
-          DirectIoMetrics::get().fallbacks.inc();
-          ICKPT_RETURN_IF_ERROR(reopen_buffered());
-          continue;
-        }
-        return io_error("file write failed: " + tmp_.string());
-      }
-      done += static_cast<std::size_t>(got);
-    }
-    // Shift any remainder (only on the close() tail path, where a
-    // partial drain never happens mid-buffer) and reset the fill.
-    if (n < fill_) std::memmove(stage_.data(), stage_.data() + n, fill_ - n);
-    fill_ -= n;
-    return Status::ok();
-  }
-
-  void drop_direct() {
-    if (!direct_) return;
-    direct_ = false;
-    const int flags = ::fcntl(fd_, F_GETFL);
-    if (flags >= 0) ::fcntl(fd_, F_SETFL, flags & ~O_DIRECT);
-  }
-
-  /// Last-resort EINVAL recovery: swap the fd for one opened without
-  /// O_DIRECT, positioned where the old one stopped.  Done at most
-  /// once per writer.
-  Status reopen_buffered() {
-    reopened_ = true;
-    const off_t off = ::lseek(fd_, 0, SEEK_CUR);
-    if (off < 0) return io_error("lseek failed: " + tmp_.string());
-    int fresh = ::open(tmp_.c_str(), O_WRONLY | O_CLOEXEC);
-    if (fresh < 0) return io_error("reopen failed: " + tmp_.string());
-    if (::lseek(fresh, off, SEEK_SET) != off) {
-      ::close(fresh);
-      return io_error("lseek failed: " + tmp_.string());
-    }
-    ::close(fd_);
-    fd_ = fresh;
-    direct_ = false;
-    return Status::ok();
-  }
-
-  fs::path tmp_, final_;
-  std::atomic<std::uint64_t>* total_;
-  std::size_t block_;
-  bool durable_;
-  AlignedBuf stage_;
-  std::size_t fill_ = 0;
-  std::uint64_t bytes_ = 0;
-  int fd_ = -1;
-  bool direct_ = true;
-  bool reopened_ = false;
-  bool closed_ = false;
-};
-
 class FileReader final : public Reader {
  public:
   FileReader(std::ifstream is, std::uint64_t size)
@@ -442,31 +195,26 @@ class FileBackend final : public StorageBackend {
       : dir_(std::move(dir)), options_(options) {}
 
   Result<std::unique_ptr<Writer>> create(const std::string& key) override {
+    if (is_tmp_name(key)) {
+      return invalid_argument("key names an unpublished write: " + key);
+    }
     fs::path final_path = dir_ / key;
     std::error_code ec;
     fs::create_directories(final_path.parent_path(), ec);
     fs::path tmp = final_path;
-    tmp += ".tmp";
-    if (options_.direct_io) {
-      const std::size_t block = direct_block_size();
-      if (block > 0) {
-        return std::unique_ptr<Writer>(new DirectFileWriter(
-            tmp, final_path, block, options_.durable_publish, &total_));
-      }
-      // Probe said no (counted once, below): buffered writes.
-    }
-    auto w = std::make_unique<FileWriter>(tmp, final_path,
-                                          options_.durable_publish, &total_);
-    return std::unique_ptr<Writer>(std::move(w));
+    tmp += kTmpSuffix;
+    return std::unique_ptr<Writer>(new FileWriter(
+        tmp, final_path, options_.durable_publish, &total_));
   }
 
-  /// Only regular files are objects: a key naming a directory (".", or
-  /// a prefix like "rank0") is kNotFound, as is an object removed
-  /// between the size check and the open.  Never throws.
+  /// Only published regular files are objects: a key naming a directory
+  /// (".", or a prefix like "rank0") or a ".tmp" sibling is kNotFound,
+  /// as is an object removed between the size check and the open.
+  /// Never throws.
   Result<std::unique_ptr<Reader>> open(const std::string& key) override {
     const fs::path p = dir_ / key;
     std::error_code ec;
-    if (!fs::is_regular_file(p, ec)) return not_found("no such object: " + key);
+    if (!is_object(key, p)) return not_found("no such object: " + key);
     const std::uint64_t size = fs::file_size(p, ec);
     if (ec) return not_found("no such object: " + key);
     std::ifstream is(p, std::ios::binary);
@@ -475,8 +223,9 @@ class FileBackend final : public StorageBackend {
   }
 
   Status remove(const std::string& key) override {
+    const fs::path p = dir_ / key;
     std::error_code ec;
-    if (!fs::remove(dir_ / key, ec)) {
+    if (!is_object(key, p) || !fs::remove(p, ec)) {
       return not_found("no such object: " + key);
     }
     return Status::ok();
@@ -489,7 +238,7 @@ class FileBackend final : public StorageBackend {
          !ec && it != fs::recursive_directory_iterator(); ++it) {
       // ".tmp" siblings are unpublished writes (possibly left behind
       // by a crash mid-publish) — never visible objects.
-      if (it->is_regular_file() && it->path().extension() != ".tmp") {
+      if (it->is_regular_file() && !is_tmp_name(it->path().string())) {
         keys.push_back(fs::relative(it->path(), dir_).string());
       }
     }
@@ -498,8 +247,7 @@ class FileBackend final : public StorageBackend {
   }
 
   bool exists(const std::string& key) override {
-    std::error_code ec;
-    return fs::is_regular_file(dir_ / key, ec);
+    return is_object(key, dir_ / key);
   }
 
   std::uint64_t total_bytes_stored() const noexcept override {
@@ -507,38 +255,19 @@ class FileBackend final : public StorageBackend {
   }
 
  private:
-  /// The O_DIRECT logical block size for this backend's directory,
-  /// probed on the first direct writer and cached (0 = unsupported).
-  /// One probe per directory, not per write: the answer is a property
-  /// of the filesystem under `dir_`.
-  std::size_t direct_block_size() {
-    const std::size_t forced =
-        g_forced_direct_block.load(std::memory_order_relaxed);
-    if (forced > 0) return forced;
-    std::call_once(probe_once_, [this] {
-      probed_block_ = probe_direct_block_size(dir_);
-      if (probed_block_ == 0) DirectIoMetrics::get().fallbacks.inc();
-    });
-    return probed_block_;
+  /// Objects are the published regular files; the ".tmp" siblings of
+  /// in-flight writes and directories are not.
+  static bool is_object(const std::string& key, const fs::path& p) {
+    std::error_code ec;
+    return !is_tmp_name(key) && fs::is_regular_file(p, ec);
   }
 
   fs::path dir_;
   FileBackendOptions options_;
-  std::once_flag probe_once_;
-  std::size_t probed_block_ = 0;
   std::atomic<std::uint64_t> total_{0};
 };
 
 }  // namespace
-
-namespace testing_hooks {
-void force_direct_block_size(std::size_t block) {
-  g_forced_direct_block.store(block, std::memory_order_relaxed);
-}
-void fail_writes_einval(int n) {
-  g_einval_writes.store(n, std::memory_order_relaxed);
-}
-}  // namespace testing_hooks
 
 Result<std::unique_ptr<StorageBackend>> make_file_backend(
     const std::string& directory) {
@@ -717,79 +446,6 @@ std::unique_ptr<StorageBackend> make_memory_backend() {
 
 std::unique_ptr<StorageBackend> make_null_backend() {
   return std::make_unique<NullBackend>();
-}
-
-// -------------------------------------------------------------- throttled
-
-class ThrottledBackend::ThrottledWriter final : public Writer {
- public:
-  ThrottledWriter(std::unique_ptr<Writer> inner, double bytes_per_second,
-                  bool really_sleep,
-                  std::shared_ptr<std::atomic<std::uint64_t>> counter)
-      : inner_(std::move(inner)),
-        bps_(bytes_per_second),
-        sleep_(really_sleep),
-        counter_(std::move(counter)) {}
-
-  Status write(std::span<const std::byte> data) override {
-    ICKPT_RETURN_IF_ERROR(inner_->write(data));
-    counter_->fetch_add(data.size(), std::memory_order_relaxed);
-    if (sleep_ && bps_ > 0) {
-      auto stall = std::chrono::duration<double>(
-          static_cast<double>(data.size()) / bps_);
-      std::this_thread::sleep_for(stall);
-    }
-    return Status::ok();
-  }
-  Status close() override { return inner_->close(); }
-  std::uint64_t bytes_written() const noexcept override {
-    return inner_->bytes_written();
-  }
-
- private:
-  std::unique_ptr<Writer> inner_;
-  double bps_;
-  bool sleep_;
-  std::shared_ptr<std::atomic<std::uint64_t>> counter_;
-};
-
-ThrottledBackend::ThrottledBackend(StorageBackend& inner,
-                                   double bytes_per_second, bool really_sleep)
-    : inner_(inner),
-      bytes_per_second_(bytes_per_second),
-      really_sleep_(really_sleep),
-      throttled_bytes_(std::make_shared<std::atomic<std::uint64_t>>(0)) {}
-
-Result<std::unique_ptr<Writer>> ThrottledBackend::create(
-    const std::string& key) {
-  auto w = inner_.create(key);
-  if (!w.is_ok()) return w.status();
-  return std::unique_ptr<Writer>(
-      new ThrottledWriter(std::move(w.value()), bytes_per_second_,
-                          really_sleep_, throttled_bytes_));
-}
-
-Result<std::unique_ptr<Reader>> ThrottledBackend::open(
-    const std::string& key) {
-  return inner_.open(key);
-}
-Status ThrottledBackend::remove(const std::string& key) {
-  return inner_.remove(key);
-}
-Result<std::vector<std::string>> ThrottledBackend::list() {
-  return inner_.list();
-}
-bool ThrottledBackend::exists(const std::string& key) {
-  return inner_.exists(key);
-}
-std::uint64_t ThrottledBackend::total_bytes_stored() const noexcept {
-  return inner_.total_bytes_stored();
-}
-double ThrottledBackend::modeled_seconds() const noexcept {
-  if (bytes_per_second_ <= 0) return 0;
-  return static_cast<double>(
-             throttled_bytes_->load(std::memory_order_relaxed)) /
-         bytes_per_second_;
 }
 
 // ---------------------------------------------------------------- metered

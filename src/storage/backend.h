@@ -2,11 +2,11 @@
 //
 // The paper sizes checkpointing against two sinks (Section 3): the
 // interconnect (QsNet II, 900 MB/s) and secondary storage (SCSI,
-// 320 MB/s).  The backends here provide real persistence (file), fast
-// in-memory storage (for diskless-style checkpointing and tests), a
-// byte-counting null sink, a bandwidth-throttling decorator that
-// models the 2004 ceilings, and a fault-injecting decorator for
-// failure testing.
+// 320 MB/s); those ceilings live in analysis/feasibility.h.  The
+// backends here provide real persistence (file), fast in-memory
+// storage (for diskless-style checkpointing and tests), a
+// byte-counting null sink, a metering decorator, and a
+// fault-injecting decorator for failure testing.
 #pragma once
 
 #include <cstddef>
@@ -87,17 +87,6 @@ class StorageBackend {
 };
 
 struct FileBackendOptions {
-  /// Write objects with O_DIRECT through an aligned staging buffer,
-  /// bypassing the page cache (the encode pipeline emits full-object
-  /// buffers, so writes are large and sequential — ideal direct-I/O
-  /// shape).  The filesystem's logical block size is probed once per
-  /// backend directory (512 B, then 4 KiB); filesystems that refuse
-  /// O_DIRECT (tmpfs, some overlayfs) fall back transparently to
-  /// buffered writes and increment the storage.direct_io_fallback
-  /// counter.  close()/rename visibility and flush() durability
-  /// semantics are identical in both modes.
-  bool direct_io = false;
-
   /// Make close() crash-durable: fdatasync the object bytes before the
   /// rename and fsync the parent directory after it, so a successfully
   /// returned close() survives power loss — never a visible-but-empty
@@ -109,21 +98,11 @@ struct FileBackendOptions {
   bool durable_publish = true;
 };
 
-/// Test-only fault hooks for the file writers (no-ops in production).
-namespace testing_hooks {
-/// Force the O_DIRECT block size instead of probing (0 = probe again).
-/// Lets tests exercise DirectFileWriter on filesystems whose probe
-/// would refuse O_DIRECT.
-void force_direct_block_size(std::size_t block);
-/// Make the next `n` data-write syscalls issued by DirectFileWriter
-/// fail with EINVAL (both the direct and the buffered path), so tests
-/// can drive the mid-write fallback/recovery logic on any filesystem.
-void fail_writes_einval(int n);
-}  // namespace testing_hooks
-
 /// Files under a directory; keys may contain '/' (subdirectories are
 /// created on demand).  Writes go to a ".tmp" sibling and are renamed
-/// on close so a crash never leaves a half-visible checkpoint.
+/// on close so a crash never leaves a half-visible checkpoint; keys
+/// ending in ".tmp" are therefore refused by create() and not found by
+/// open(), exists() and remove().
 Result<std::unique_ptr<StorageBackend>> make_file_backend(
     const std::string& directory);
 Result<std::unique_ptr<StorageBackend>> make_file_backend(
@@ -134,33 +113,6 @@ std::unique_ptr<StorageBackend> make_memory_backend();
 
 /// Discards all data, keeps byte counts (bandwidth quantification).
 std::unique_ptr<StorageBackend> make_null_backend();
-
-/// Decorator: models a fixed-bandwidth device.  Accumulates the
-/// virtual seconds each write would take at `bytes_per_second`; when
-/// `really_sleep` is set it also stalls the caller (for wall-clock
-/// experiments).  The decorated backend must outlive the decorator.
-class ThrottledBackend : public StorageBackend {
- public:
-  ThrottledBackend(StorageBackend& inner, double bytes_per_second,
-                   bool really_sleep = false);
-
-  Result<std::unique_ptr<Writer>> create(const std::string& key) override;
-  Result<std::unique_ptr<Reader>> open(const std::string& key) override;
-  Status remove(const std::string& key) override;
-  Result<std::vector<std::string>> list() override;
-  bool exists(const std::string& key) override;
-  std::uint64_t total_bytes_stored() const noexcept override;
-
-  /// Total modelled transfer time so far, in seconds.
-  double modeled_seconds() const noexcept;
-
- private:
-  class ThrottledWriter;
-  StorageBackend& inner_;
-  double bytes_per_second_;
-  bool really_sleep_;
-  std::shared_ptr<std::atomic<std::uint64_t>> throttled_bytes_;
-};
 
 /// Decorator: publishes per-object write metrics to the process-wide
 /// obs registry under `prefix` — "<prefix>.objects" / "<prefix>.bytes"

@@ -1,7 +1,6 @@
 // Parallel encode pipeline: sharded encoding must produce output
 // byte-identical to the serial writer for every thread count and
-// compression setting, and the async path must round-trip through
-// restore after the flush barrier.
+// compression setting, and must round-trip through restore.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -105,7 +104,6 @@ class ParallelEncodeTest : public ::testing::Test {
     auto ckpt = Checkpointer::create(space_, backend.get(), opts).value();
     EXPECT_TRUE(ckpt->checkpoint_full(0.0).is_ok());
     EXPECT_TRUE(ckpt->checkpoint_incremental(snap, 1.0).is_ok());
-    EXPECT_TRUE(ckpt->flush().is_ok());
     return backend;
   }
 
@@ -159,39 +157,6 @@ TEST_F(ParallelEncodeTest, ParallelChainRoundTripsThroughRestore) {
               0)
         << "block " << info.id;
   }
-}
-
-TEST_F(ParallelEncodeTest, AsyncMatchesSyncAndRestores) {
-  auto snap = make_dirty_snapshot();
-  CheckpointerOptions sync_opts;
-  auto reference = write_chain(snap, sync_opts);
-
-  CheckpointerOptions async_opts;
-  async_opts.async = true;
-  async_opts.encode_threads = 4;
-  auto got = write_chain(snap, async_opts);  // write_chain flushes
-
-  auto keys = reference->list();
-  ASSERT_TRUE(keys.is_ok());
-  for (const auto& key : *keys) {
-    EXPECT_EQ(read_all(*got, key), read_all(*reference, key)) << key;
-  }
-  EXPECT_TRUE(restore_chain(*got, 0).is_ok());
-}
-
-TEST_F(ParallelEncodeTest, AsyncSurfacesBackendErrorAtFlush) {
-  auto backend = storage::make_memory_backend();
-  storage::FaultyBackend faulty(*backend, /*fail_after_bytes=*/page_size());
-  CheckpointerOptions opts;
-  opts.async = true;
-  auto ckpt = Checkpointer::create(space_, &faulty, opts).value();
-  // Encode succeeds into memory; the device error appears at the
-  // barrier, not before.
-  auto meta = ckpt->checkpoint_full(0.0);
-  ASSERT_TRUE(meta.is_ok());
-  auto flushed = ckpt->flush();
-  EXPECT_FALSE(flushed.is_ok());
-  EXPECT_EQ(flushed.code(), ErrorCode::kIoError);
 }
 
 TEST_F(ParallelEncodeTest, EmptyIncrementalParallelMatchesSerial) {

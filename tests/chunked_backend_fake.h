@@ -1,8 +1,8 @@
 // Test fake: a pass-through storage decorator whose readers serve at
-// most `max_read` bytes per read() call and advertise no random
-// access.  Models a legitimate streaming backend (socket, pipe) so
-// tests can verify that header reads use read-exact loops and that the
-// restore pipeline's sequential fallbacks work.
+// most `max_read` bytes per read() or read_at() call.  Models a
+// legitimate short-reading backend (a socket, a pipe) so tests can
+// verify that every header, scan and shard read loops until it has
+// all its bytes.
 #pragma once
 
 #include <algorithm>
@@ -44,8 +44,13 @@ class ChunkedBackend : public StorageBackend {
     Result<std::size_t> read(std::span<std::byte> out) override {
       return inner_->read(out.subspan(0, std::min(out.size(), max_read_)));
     }
+    bool supports_read_at() const noexcept override { return true; }
+    Result<std::size_t> read_at(std::uint64_t offset,
+                                std::span<std::byte> out) override {
+      return inner_->read_at(offset,
+                             out.subspan(0, std::min(out.size(), max_read_)));
+    }
     std::uint64_t size() const noexcept override { return inner_->size(); }
-    // supports_read_at() stays false: strictly sequential.
 
    private:
     std::unique_ptr<Reader> inner_;

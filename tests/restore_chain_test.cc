@@ -342,13 +342,13 @@ TEST_F(RestoreChainTest, DecodesEachSurvivingPageExactlyOnce) {
   EXPECT_EQ(skipped.value() - s0, 8u + 6u * 2u - 8u);
 }
 
-TEST_F(RestoreChainTest, SequentialChunkedBackendRestores) {
+TEST_F(RestoreChainTest, ShortReadingBackendRestores) {
   build_chain(4);
   auto reference = restore_chain(*storage_, 0);
   ASSERT_TRUE(reference.is_ok());
 
-  // A 37-byte-per-read, sequential-only view of the same store must
-  // produce identical bytes through the scanner and shard fallbacks.
+  // A view of the same store that returns at most 37 bytes per read
+  // must produce identical bytes through the scanner and the shards.
   storage::ChunkedBackend chunked(*storage_, 37);
   for (int threads : {1, 4}) {
     RestoreOptions opts;

@@ -138,6 +138,29 @@ TEST_P(BackendParamTest, OpenNonObjectKeyIsNotFound) {
     EXPECT_FALSE(backend_->exists(key)) << key;
   }
   EXPECT_EQ(read_all(*backend_, "rank0/ckpt-1"), "payload");
+  // Emptied of its object, the prefix is still no object to remove.
+  ASSERT_TRUE(backend_->remove("rank0/ckpt-1").is_ok());
+  for (const char* key : {"rank0", "."}) {
+    EXPECT_EQ(backend_->remove(key).code(), ErrorCode::kNotFound) << key;
+  }
+}
+
+TEST_P(BackendParamTest, TmpSuffixedKeyIsRefusedOrPublished) {
+  // The file store stages every write under a ".tmp" sibling, so it
+  // refuses such keys; a store that accepts one must publish it like
+  // any other object.
+  auto w = backend_->create("rank0/x.tmp");
+  if (!w.is_ok()) {
+    EXPECT_EQ(w.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_FALSE(backend_->exists("rank0/x.tmp"));
+    return;
+  }
+  ASSERT_TRUE((*w)->write(as_bytes("staged")).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+  auto keys = backend_->list();
+  ASSERT_TRUE(keys.is_ok());
+  EXPECT_EQ(*keys, std::vector<std::string>{"rank0/x.tmp"});
+  EXPECT_EQ(read_all(*backend_, "rank0/x.tmp"), "staged");
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParamTest,
@@ -153,34 +176,6 @@ TEST(NullBackendTest, CountsAndDiscards) {
   EXPECT_EQ(backend->total_bytes_stored(), 9u);
   EXPECT_FALSE(backend->open("whatever").is_ok());
   EXPECT_FALSE(backend->exists("whatever"));
-}
-
-TEST(ThrottledBackendTest, ModelsTransferTime) {
-  auto inner = make_memory_backend();
-  ThrottledBackend throttled(*inner, /*bytes_per_second=*/1000.0);
-  auto w = throttled.create("obj");
-  ASSERT_TRUE(w.is_ok());
-  std::vector<std::byte> data(2500, std::byte{1});
-  ASSERT_TRUE((*w)->write(data).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_DOUBLE_EQ(throttled.modeled_seconds(), 2.5);
-  // The data itself flows through unmodified.
-  EXPECT_EQ(read_all(throttled, "obj").size(), 2500u);
-}
-
-TEST(ThrottledBackendTest, PaperCeilingsAsConstants) {
-  auto inner = make_null_backend();
-  // SCSI disk at 320 MB/s: 78.8 MB/s of checkpoint data consumes ~25%
-  // of the device (Section 6.3).
-  ThrottledBackend disk(*inner, 320.0 * 1024 * 1024);
-  auto w = disk.create("ckpt");
-  ASSERT_TRUE(w.is_ok());
-  std::vector<std::byte> mb(1024 * 1024, std::byte{0});
-  for (int i = 0; i < 79; ++i) {
-    ASSERT_TRUE((*w)->write(mb).is_ok());
-  }
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_NEAR(disk.modeled_seconds(), 79.0 / 320.0, 1e-6);
 }
 
 TEST(FaultyBackendTest, FailsAfterBudget) {
@@ -203,113 +198,6 @@ TEST(FaultyBackendTest, BudgetSharedAcrossWriters) {
   ASSERT_TRUE(w2.is_ok());
   ASSERT_TRUE((*w1)->write(as_bytes("1234")).is_ok());
   EXPECT_EQ((*w2)->write(as_bytes("1234")).code(), ErrorCode::kIoError);
-}
-
-TEST(DirectIoTest, FallsBackWhenFilesystemRefusesODirect) {
-  // TempDir is tmpfs in most CI containers, which rejects O_DIRECT —
-  // the backend must degrade to buffered writes, count the fallback,
-  // and produce byte-identical objects.  On filesystems that do accept
-  // O_DIRECT the same assertions hold with zero fallback increments.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_test";
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-
-  std::string payload(1 << 20, 'x');
-  for (std::size_t i = 0; i < payload.size(); i += 7) payload[i] = 'y';
-  payload += "unaligned tail";  // forces the sub-block drop-direct path
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_EQ(read_all(**backend, "obj"), payload);
-  EXPECT_EQ((*backend)->total_bytes_stored(), payload.size());
-
-  // The probe runs once per backend directory: a second writer must
-  // not add another fallback increment.
-  auto w2 = (*backend)->create("obj2");
-  ASSERT_TRUE(w2.is_ok());
-  ASSERT_TRUE((*w2)->write(as_bytes("tiny")).is_ok());
-  ASSERT_TRUE((*w2)->close().is_ok());
-  const std::uint64_t after = fallbacks.value();
-  EXPECT_LE(after - before, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, BufferedModeNeverTouchesFallbackCounter) {
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_off_test";
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-  auto backend = make_file_backend(dir);  // direct_io defaults off
-  ASSERT_TRUE(backend.is_ok());
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  ASSERT_TRUE((*w)->write(as_bytes("plain buffered")).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  EXPECT_EQ(fallbacks.value(), before);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, MidWriteEinvalRecoversIntoCountedFallback) {
-  // A filesystem can accept the O_DIRECT probe/open and still reject a
-  // later write with EINVAL — including after the F_SETFL drop, which
-  // is advisory.  The fault hook injects exactly that: the writer must
-  // recover through the counted fallback path (never an opaque
-  // io_error) and produce byte-identical content.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_einval_test";
-  std::filesystem::remove_all(dir);
-  auto& fallbacks = obs::registry().counter("storage.direct_io_fallback");
-  const std::uint64_t before = fallbacks.value();
-
-  // Force the probe result so a DirectFileWriter is built even on
-  // tmpfs, where the real probe would refuse O_DIRECT.
-  testing_hooks::force_direct_block_size(512);
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-
-  std::string payload((1 << 20) + 13, 'e');
-  for (std::size_t i = 0; i < payload.size(); i += 11) payload[i] = 'E';
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  testing_hooks::fail_writes_einval(1);
-  ASSERT_TRUE((*w)->write(as_bytes(payload)).is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-  testing_hooks::fail_writes_einval(0);
-  testing_hooks::force_direct_block_size(0);
-
-  EXPECT_EQ(read_all(**backend, "obj"), payload);
-  EXPECT_GT(fallbacks.value(), before);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DirectIoTest, RepeatedEinvalAfterReopenIsAnError) {
-  // The buffered reopen happens at most once per writer; a filesystem
-  // that keeps EINVALing afterwards surfaces as a real error instead
-  // of looping.
-  std::string dir = ::testing::TempDir() + "/ickpt_dio_einval2_test";
-  std::filesystem::remove_all(dir);
-  testing_hooks::force_direct_block_size(512);
-  FileBackendOptions options;
-  options.direct_io = true;
-  auto backend = make_file_backend(dir, options);
-  ASSERT_TRUE(backend.is_ok());
-  auto w = (*backend)->create("obj");
-  ASSERT_TRUE(w.is_ok());
-  std::string payload(2 << 20, 'r');
-  testing_hooks::fail_writes_einval(1000);
-  auto st = (*w)->write(as_bytes(payload));
-  if (st.is_ok()) st = (*w)->close();
-  testing_hooks::fail_writes_einval(0);
-  testing_hooks::force_direct_block_size(0);
-  EXPECT_EQ(st.code(), ErrorCode::kIoError);
-  EXPECT_FALSE((*backend)->exists("obj"));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(DurablePublishTest, CloseSyncsFileAndDirectory) {
@@ -380,6 +268,27 @@ TEST(FileBackendTest, ListHidesUnpublishedTmpFiles) {
   ASSERT_TRUE(keys.is_ok());
   EXPECT_EQ(keys->size(), 1u);
   EXPECT_EQ((*keys)[0], "real");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendTest, InFlightTmpSiblingIsNotAnObject) {
+  std::string dir = ::testing::TempDir() + "/ickpt_inflight_tmp_test";
+  std::filesystem::remove_all(dir);
+  auto backend = make_file_backend(dir);
+  ASSERT_TRUE(backend.is_ok());
+  auto w = (*backend)->create("rank0/y");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(as_bytes("partial")).is_ok());
+  // The open writer's staging file is on disk, but the store must not
+  // serve, report or delete it as an object.
+  ASSERT_TRUE(std::filesystem::is_regular_file(dir + "/rank0/y.tmp"));
+  EXPECT_EQ((*backend)->open("rank0/y.tmp").status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_FALSE((*backend)->exists("rank0/y.tmp"));
+  EXPECT_EQ((*backend)->remove("rank0/y.tmp").code(), ErrorCode::kNotFound);
+  ASSERT_TRUE((*w)->write(as_bytes(", then whole")).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+  EXPECT_EQ(read_all(**backend, "rank0/y"), "partial, then whole");
   std::filesystem::remove_all(dir);
 }
 

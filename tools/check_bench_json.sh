@@ -72,7 +72,6 @@ for f in "$@"; do
   if [ "$(jq -r '.bench' "$f")" = "encode" ]; then
     if ! jq -e '[.arms[].name] |
         (index("file_buffered_write") != null) and
-        (index("file_direct_write") != null) and
         (index("segment_write") != null) and
         (index("smallobj_file") != null) and
         (index("smallobj_segment") != null)' "$f" > /dev/null; then

@@ -5,12 +5,12 @@
 //
 //   ickpt study --app NAME [--timeslice S] [--ranks N] [--engine E]
 //               [--scale F] [--run-vs S] [--csv FILE] [--phase S]
-//               [--ckpt-dir DIR] [--encode-threads N] [--async]
+//               [--ckpt-dir DIR] [--encode-threads N]
 //               [--no-compress] [--stats] [--trace FILE]
 //       Run a feasibility study and print the measured
 //       characterization, bandwidth requirement and verdict.
 //       With --ckpt-dir it also writes a real full+incremental
-//       checkpoint chain (parallel encode, optional async writer).
+//       checkpoint chain (optionally with parallel encode).
 //       With --stats it appends the observability snapshot: fault
 //       cost, per-stage checkpoint timing, storage metrics — as a
 //       table and as JSON.  With --trace it records span tracing
@@ -83,7 +83,7 @@ int usage() {
                "                   [--write-trace FILE]\n"
                "                   [--ckpt-dir DIR] [--segment-store]\n"
                "                   [--encode-threads N]\n"
-               "                   [--async] [--no-compress] [--stats]\n"
+               "                   [--no-compress] [--stats]\n"
                "       ickpt stats [--iters N] [--json]\n"
                "       ickpt fsck DIR [--repair] [--backend B] "
                "[--trace FILE]\n"
@@ -205,8 +205,6 @@ int cmd_study(int argc, char** argv) {
                  "instead of one file per object");
   flags.add_int("encode-threads", &cfg.encode_threads,
                 "page-encode worker threads");
-  flags.add_bool("async", &cfg.async_writes,
-                 "overlap backend I/O with computation");
   flags.add_bool("no-compress", &no_compress,
                  "disable per-page payload compression");
   flags.add_bool("stats", &want_stats,
@@ -286,11 +284,10 @@ int cmd_study(int argc, char** argv) {
                             : 0;
     std::printf(
         "checkpoints : %llu objects, %s, %.2fs in writer (%.0f MB/s, "
-        "%d encode thread%s%s)\n",
+        "%d encode thread%s)\n",
         static_cast<unsigned long long>(r->ckpt_objects),
         format_bytes(r->ckpt_bytes).c_str(), r->ckpt_encode_seconds, rate,
-        cfg.encode_threads, cfg.encode_threads == 1 ? "" : "s",
-        cfg.async_writes ? ", async" : "");
+        cfg.encode_threads, cfg.encode_threads == 1 ? "" : "s");
   }
 
   if (!csv_path.empty()) {

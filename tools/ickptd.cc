@@ -1,7 +1,7 @@
 // ickptd — the network checkpoint store daemon.
 //
 //   ickptd --dir DIR [--backend file|segment] [--bind ADDR] [--port N]
-//          [--port-file FILE] [--direct-io] [--max-inflight-mb N]
+//          [--port-file FILE] [--max-inflight-mb N]
 //          [--idle-timeout S] [--stats] [--trace FILE]
 //
 // Serves the wire protocol (docs/PROTOCOL.md) out of a store rooted
@@ -39,7 +39,6 @@ int run(int argc, char** argv) {
   std::string bind = "127.0.0.1";
   int port = 0;
   std::string port_file;
-  bool direct_io = false;
   int max_inflight_mb = 4;
   double idle_timeout = 60.0;
   bool stats = false;
@@ -56,9 +55,6 @@ int run(int argc, char** argv) {
   flags.add_int("port", &port, "TCP port (0 = ephemeral)");
   flags.add_string("port-file", &port_file,
                    "write the bound port here (for scripts)");
-  flags.add_bool("direct-io", &direct_io,
-                 "write objects with O_DIRECT when the filesystem "
-                 "allows it");
   flags.add_int("max-inflight-mb", &max_inflight_mb,
                 "per-connection cap on queued response bytes");
   flags.add_double("idle-timeout", &idle_timeout,
@@ -98,20 +94,10 @@ int run(int argc, char** argv) {
                  "(want file or segment)\n", backend_name.c_str());
     return 2;
   }
-  if (backend_name == "segment" && direct_io) {
-    std::fprintf(stderr, "ickptd: --direct-io applies only to "
-                 "--backend file\n");
-    return 2;
-  }
 
-  auto backend = [&] {
-    if (backend_name == "segment") {
-      return storage::make_segment_backend(dir);
-    }
-    storage::FileBackendOptions file_options;
-    file_options.direct_io = direct_io;
-    return storage::make_file_backend(dir, file_options);
-  }();
+  auto backend = backend_name == "segment"
+                     ? storage::make_segment_backend(dir)
+                     : storage::make_file_backend(dir);
   if (!backend.is_ok()) {
     std::fprintf(stderr, "ickptd: %s\n",
                  backend.status().to_string().c_str());
