@@ -23,6 +23,7 @@
 #include "region/address_space.h"
 #include "storage/backend.h"
 #include "storage/segment_backend.h"
+#include "tests/support/serial_restore.h"
 
 using namespace ickpt;
 using namespace ickpt::bench;
@@ -277,9 +278,9 @@ int main(int argc, char** argv) {
 
   finish(table, "ablation_restore.csv");
   bench_json.write(args);
-  std::cout << "the plan decodes each surviving page once (Skipped = "
-               "superseded writes the serial path decoded for nothing); "
-               "shards parallelize the remaining decode work\n";
+  std::cout << "the plan reads and decodes only the chunks holding a "
+               "surviving page (Skipped = superseded writes the serial path "
+               "decoded for nothing); the pool spreads those reads\n";
   if (hw < 2) {
     std::cout << "note: only " << hw << " hardware thread available -- "
                  "pool speedup reflects scheduling overhead, not scaling; "

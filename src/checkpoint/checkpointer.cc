@@ -128,13 +128,24 @@ std::vector<RunHeader> make_runs(const std::vector<std::uint32_t>& pages) {
   return runs;
 }
 
-/// CRC-tracking write helper.
+void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::byte*>(data);
+  buf.insert(buf.end(), p, p + len);
+}
+
+/// CRC-tracking write helper.  Structural bytes written through it are
+/// also copied into `index`, which becomes the manifest half of the
+/// object's index.
 struct CrcWriter {
   storage::Writer& out;
   Crc32 crc;
+  std::uint64_t offset = 0;  ///< bytes written so far
+  std::vector<std::byte>* index = nullptr;
 
   Status write(const void* data, std::size_t len) {
     crc.update(data, len);
+    offset += len;
+    if (index != nullptr) append(*index, data, len);
     return out.write({static_cast<const std::byte*>(data), len});
   }
 
@@ -142,35 +153,36 @@ struct CrcWriter {
   /// known, folding it into the stream CRC without re-reading it.
   Status write_hashed(std::span<const std::byte> data, std::uint32_t data_crc) {
     crc.combine(data_crc, data.size());
+    offset += data.size();
     return out.write(data);
   }
 };
 
-/// One unit of parallel encoding: a contiguous page range of one run.
-/// A worker fills `buf` with exactly the bytes the serial writer would
-/// emit for those pages (PageRecord + payload each) plus their CRC, so
-/// the main thread stitches shards into a byte-identical file.
+/// One unit of parallel encoding: a contiguous page range of one run,
+/// starting on a chunk boundary.  A worker fills `buf` with exactly the
+/// bytes the serial writer would emit for those pages (PageRecord +
+/// payload each), the index entry of every chunk in it, and their
+/// combined CRC, so the main thread stitches shards into a
+/// byte-identical file.
 struct EncodeShard {
   const std::byte* base = nullptr;  ///< first page's data
   std::uint32_t page_count = 0;
 
   std::vector<std::byte> buf;
+  std::vector<ChunkEntry> chunks;
   std::uint32_t crc = 0;  ///< finalized CRC of buf
   std::uint32_t zero_pages = 0;
   std::uint32_t rle_pages = 0;
 };
-
-void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::byte*>(data);
-  buf.insert(buf.end(), p, p + len);
-}
 
 void encode_shard(EncodeShard& shard, std::size_t psize, bool compress) {
   auto& metrics = CkptMetrics::get();
   obs::ScopedTimer encode_timer(metrics.encode_ns);
   obs::TraceSpan span(metrics.t_encode_shard, shard.page_count);
   shard.buf.reserve(shard.page_count * (sizeof(PageRecord) + psize));
+  shard.chunks.reserve((shard.page_count + kChunkPages - 1) / kChunkPages);
   std::vector<std::byte> payload;
+  std::size_t chunk_start = 0;
   for (std::uint32_t p = 0; p < shard.page_count; ++p) {
     const std::byte* page_data = shard.base + std::size_t{p} * psize;
     PageRecord rec;
@@ -190,22 +202,38 @@ void encode_shard(EncodeShard& shard, std::size_t psize, bool compress) {
       append(shard.buf, &rec, sizeof rec);
       append(shard.buf, page_data, psize);
     }
+    if ((p + 1) % kChunkPages == 0 || p + 1 == shard.page_count) {
+      shard.chunks.push_back(
+          ChunkEntry{static_cast<std::uint32_t>(shard.buf.size() - chunk_start),
+                     0});
+      chunk_start = shard.buf.size();
+    }
   }
   {
     obs::ScopedTimer crc_timer(metrics.crc_ns);
-    shard.crc = crc32(shard.buf);
+    Crc32 crc;
+    const std::byte* chunk = shard.buf.data();
+    for (ChunkEntry& c : shard.chunks) {
+      c.crc32 = crc32({chunk, c.length});
+      crc.combine(c.crc32, c.length);
+      chunk += c.length;
+    }
+    shard.crc = crc.value();
   }
   metrics.shards.inc();
 }
 
 /// Shard granularity: enough shards to balance `threads` workers,
 /// large enough to amortize dispatch, bounded so one shard's buffer
-/// stays a few MB.
+/// stays a few MB, and a whole number of index chunks so chunks nest
+/// inside shards.
 std::uint32_t pick_shard_pages(std::uint64_t total_pages, int threads) {
   const std::uint64_t target =
       total_pages / (static_cast<std::uint64_t>(threads) * 8) + 1;
-  return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-      target, 16, 1024));
+  static_assert(1024 % kChunkPages == 0);
+  const std::uint64_t chunks = (target + kChunkPages - 1) / kChunkPages;
+  return static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(chunks * kChunkPages, kChunkPages, 1024));
 }
 
 }  // namespace
@@ -357,9 +385,15 @@ Result<CheckpointMeta> Checkpointer::write_object(
   header.block_count = static_cast<std::uint32_t>(blocks.size());
   header.virtual_time = virtual_time;
   ICKPT_RETURN_IF_ERROR(w.write(&header, sizeof header));
+  const std::uint32_t header_crc = w.crc.value();
 
   // ---- Stitch: headers from this thread, page payloads from the
-  // shard buffers, byte-identical to the serial writer's output.
+  // shard buffers, byte-identical to the serial writer's output.  The
+  // structural bytes are copied into the index as they go out; the
+  // shards' chunk entries are collected after them.
+  std::vector<std::byte> index;
+  std::vector<ChunkEntry> chunks;
+  w.index = &index;
   std::uint64_t payload_pages = 0;
   std::uint64_t zero_pages = 0;
   std::uint64_t rle_pages = 0;
@@ -397,6 +431,7 @@ Result<CheckpointMeta> Checkpointer::write_object(
         }
         ++shard_idx;
         ICKPT_RETURN_IF_ERROR(w.write_hashed(s.buf, s.crc));
+        chunks.insert(chunks.end(), s.chunks.begin(), s.chunks.end());
         zero_pages += s.zero_pages;
         rle_pages += s.rle_pages;
         std::vector<std::byte>().swap(s.buf);  // bound peak memory
@@ -405,11 +440,16 @@ Result<CheckpointMeta> Checkpointer::write_object(
     }
   }
 
+  // ---- Index and trailer, in one write.
+  append(index, chunks.data(), chunks.size() * sizeof(ChunkEntry));
+  const std::uint32_t index_crc = crc32(index);
+  w.crc.combine(index_crc, index.size());
   FileTrailer trailer;
+  trailer.index_offset = w.offset;
+  trailer.index_crc = crc32_combine(header_crc, index_crc, index.size());
   trailer.crc32 = w.crc.value();
-  ICKPT_RETURN_IF_ERROR(
-      sink.write({reinterpret_cast<const std::byte*>(&trailer),
-                  sizeof trailer}));
+  append(index, &trailer, sizeof trailer);
+  ICKPT_RETURN_IF_ERROR(sink.write(index));
   ICKPT_RETURN_IF_ERROR(sink.close());
 
   CheckpointMeta meta;

@@ -3,13 +3,23 @@
 // One checkpoint object per (rank, sequence number):
 //
 //   FileHeader                       (fixed-size, little-endian)
-//   BlockRecord * block_count
+//   BlockRecord * block_count        (the body)
 //     BlockHeader
 //     name bytes                     (name_len)
 //     PageRun * run_count
 //       RunHeader {first_page, page_count}
 //       PageRecord {encoding, payload_len} + payload, per page
-//   FileTrailer {crc32, end magic}
+//   Index
+//     per block: BlockHeader, name, RunHeader * run_count
+//     per run, per kChunkPages pages: ChunkEntry {length, crc32}
+//   FileTrailer {index_offset, index_crc, crc32, end magic}
+//
+// The index repeats the manifest and run tables and adds one entry per
+// chunk of kChunkPages consecutive pages of a run (the last chunk of a
+// run may be shorter).  A chunk's bytes are the PageRecords and
+// payloads of its pages; its offset is the running sum of the body
+// before it, so it is not stored.  Restore reads the header, the index
+// and only the chunks that hold a page it returns.
 //
 // A *full* checkpoint records every page of every block; an
 // *incremental* checkpoint records only the pages dirty during the
@@ -26,9 +36,11 @@ namespace ickpt::checkpoint {
 
 inline constexpr std::uint32_t kMagic = 0x49434b50;      // "ICKP"
 inline constexpr std::uint32_t kEndMagic = 0x50424b43;   // "CKBP"
-/// v2: each page payload is preceded by a PageRecord carrying its
-/// encoding (plain / zero-elided / word-RLE, see compress.h).
-inline constexpr std::uint16_t kFormatVersion = 2;
+/// v3: the v2 body (each page payload preceded by a PageRecord carrying
+/// its encoding, see compress.h) followed by a chunk index.
+inline constexpr std::uint16_t kFormatVersion = 3;
+/// Pages per index chunk, the unit restore reads and verifies.
+inline constexpr std::uint32_t kChunkPages = 16;
 
 enum class Kind : std::uint16_t {
   kFull = 1,
@@ -68,8 +80,16 @@ struct PageRecord {
   std::uint32_t payload_len = 0;   ///< bytes following this record
 };
 
+/// One index entry per chunk, in body order.
+struct ChunkEntry {
+  std::uint32_t length = 0;         ///< bytes of the chunk's page records
+  std::uint32_t crc32 = 0;          ///< over those bytes
+};
+
 struct FileTrailer {
-  std::uint32_t crc32 = 0;          ///< over header..last run payload
+  std::uint64_t index_offset = 0;   ///< first index byte == end of body
+  std::uint32_t index_crc = 0;      ///< over FileHeader, then the index
+  std::uint32_t crc32 = 0;          ///< over header..last index byte
   std::uint32_t end_magic = kEndMagic;
 };
 #pragma pack(pop)
@@ -78,7 +98,8 @@ static_assert(sizeof(FileHeader) == 48);
 static_assert(sizeof(BlockHeader) == 24);
 static_assert(sizeof(RunHeader) == 8);
 static_assert(sizeof(PageRecord) == 8);
-static_assert(sizeof(FileTrailer) == 8);
+static_assert(sizeof(ChunkEntry) == 8);
+static_assert(sizeof(FileTrailer) == 20);
 
 /// Storage key for rank r, sequence s: "rank<r>/ckpt-<s, zero padded>".
 /// Defined here so writer, restorer and GC agree on the layout.

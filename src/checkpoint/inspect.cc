@@ -25,8 +25,6 @@ struct FsckTrace {
   }
 };
 
-/// Lightweight structural parse of one object: header fields only,
-/// with full-file CRC validation via read_checkpoint_file.
 /// Read exactly `len` bytes.  Streaming backends may legitimately
 /// return short counts, so a single read() is not enough.
 Status read_exact(storage::Reader& in, void* out, std::size_t len) {
@@ -38,18 +36,15 @@ Status read_exact(storage::Reader& in, void* out, std::size_t len) {
   return Status::ok();
 }
 
+/// Whole-object check (structure, CRC, index) via read_checkpoint_file,
+/// summarized as a chain element.
 Result<ChainElement> inspect_object(storage::StorageBackend& storage,
                                     const std::string& key) {
+  auto file = read_checkpoint_file(storage, key);
+  if (!file.is_ok()) return file.status();
   auto reader = storage.open(key);
   if (!reader.is_ok()) return reader.status();
-  FileHeader header;
-  if (!read_exact(**reader, &header, sizeof header).is_ok() ||
-      header.magic != kMagic) {
-    return corruption("bad header in " + key);
-  }
-  // Deep validation (structure + CRC) via the restore parser.
-  auto state = read_checkpoint_file(storage, key);
-  if (!state.is_ok()) return state.status();
+  const FileHeader& header = file->header;
 
   ChainElement e;
   e.sequence = header.sequence;
@@ -71,25 +66,74 @@ bool parse_rank_key(const std::string& key, std::uint32_t* rank) {
   return false;
 }
 
-/// Sequence of an object for repair placement: the header if readable
+/// Chain position of an object for repair: the header if readable
 /// (any zero-pad may appear in keys), the key otherwise.
-bool placement_sequence(storage::StorageBackend& storage,
-                        const std::string& key, std::uint64_t* seq) {
+struct Placement {
+  std::uint64_t sequence = 0;
+  bool full = false;  ///< the header is readable and says full
+};
+
+bool place(storage::StorageBackend& storage, const std::string& key,
+           Placement* at) {
   auto reader = storage.open(key);
   if (reader.is_ok()) {
     FileHeader header;
     if (read_exact(**reader, &header, sizeof header).is_ok() &&
         header.magic == kMagic) {
-      *seq = header.sequence;
+      at->sequence = header.sequence;
+      at->full = header.kind == static_cast<std::uint16_t>(Kind::kFull);
       return true;
     }
   }
   unsigned long long r = 0, s = 0;
   if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) == 2) {
-    *seq = s;
+    at->sequence = s;
     return true;
   }
   return false;
+}
+
+/// One object of a rank's chain as repair sees it.
+struct RankObject {
+  std::string key;
+  bool placed = false;
+  Placement at;
+  Status health;  ///< inspect_object: every byte, every CRC
+};
+
+/// Newest sequence of `rank` that restores with a whole live range.
+/// The tolerant restore finds damage only in what it reads (headers,
+/// indexes, winning chunks), so a prefix whose live range, from the
+/// newest full checkpoint to its end, holds an object that fails the
+/// whole-object check is cut below that object and restored again.
+Result<std::uint64_t> recoverable_upto(storage::StorageBackend& storage,
+                                       std::uint32_t rank,
+                                       const std::vector<RankObject>& objects) {
+  RestoreOptions options;
+  options.allow_truncated_tail = true;
+  options.decode_threads = 1;  // repair is not the hot path
+  for (;;) {
+    auto state = restore_chain(storage, rank, options);
+    if (!state.is_ok()) return state.status();
+    const std::uint64_t upto = state->sequence;
+    std::uint64_t seed = 0;
+    for (const RankObject& o : objects) {
+      if (o.placed && o.at.full && o.at.sequence <= upto) {
+        seed = std::max(seed, o.at.sequence);
+      }
+    }
+    const RankObject* damaged = nullptr;
+    for (const RankObject& o : objects) {
+      if (o.placed && !o.health.is_ok() && o.at.sequence >= seed &&
+          o.at.sequence <= upto &&
+          (damaged == nullptr || o.at.sequence < damaged->at.sequence)) {
+        damaged = &o;
+      }
+    }
+    if (damaged == nullptr) return upto;
+    if (damaged->at.sequence == 0) return damaged->health;
+    options.upto = damaged->at.sequence - 1;
+  }
 }
 
 /// Move an object's bytes under "quarantine/<key>" and remove the
@@ -264,39 +308,36 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
   };
 
   for (auto& [rank, rank_keys] : by_rank) {
-    // Establish the newest restorable prefix for this rank.
-    RestoreOptions options;
-    options.allow_truncated_tail = true;
-    options.decode_threads = 1;  // repair is not the hot path
-    auto state = restore_chain(storage, rank, options);
-    if (!state.is_ok()) {
+    std::vector<RankObject> objects;
+    for (const auto& key : rank_keys) {
+      RankObject o;
+      o.key = key;
+      o.placed = place(storage, key, &o.at);
+      if (o.placed) o.health = inspect_object(storage, key).status();
+      objects.push_back(std::move(o));
+    }
+    auto upto = recoverable_upto(storage, rank, objects);
+    if (!upto.is_ok()) {
       // Nothing restorable: keep all the evidence, let a human look.
       report.problems.push_back("rank " + std::to_string(rank) +
                                 " has no restorable prefix: " +
-                                state.status().to_string());
+                                upto.status().to_string());
       continue;
     }
-    const std::uint64_t upto = state->sequence;
-    report.recovered_upto[rank] = upto;
+    report.recovered_upto[rank] = *upto;
 
-    for (const auto& key : rank_keys) {
-      std::uint64_t seq = 0;
-      if (!placement_sequence(storage, key, &seq)) {
+    for (const RankObject& o : objects) {
+      if (!o.placed) {
         ICKPT_RETURN_IF_ERROR(
-            drop(key, "orphan: unreadable header and unparseable key"));
-        continue;
-      }
-      if (seq > upto) {
-        ICKPT_RETURN_IF_ERROR(
-            drop(key, "beyond recovered sequence " + std::to_string(upto)));
-        continue;
-      }
-      // At or below the recovered sequence but individually corrupt
-      // (pre-seed garbage the planner never reads): restoring at
-      // `upto` succeeded without it, so quarantining is safe.
-      auto element = inspect_object(storage, key);
-      if (!element.is_ok()) {
-        ICKPT_RETURN_IF_ERROR(drop(key, element.status().to_string()));
+            drop(o.key, "orphan: unreadable header and unparseable key"));
+      } else if (o.at.sequence > *upto) {
+        ICKPT_RETURN_IF_ERROR(drop(
+            o.key, "beyond recovered sequence " + std::to_string(*upto)));
+      } else if (!o.health.is_ok()) {
+        // At or below the recovered sequence but individually corrupt
+        // (pre-seed garbage the planner never reads): restoring at
+        // `upto` succeeded without it, so quarantining is safe.
+        ICKPT_RETURN_IF_ERROR(drop(o.key, o.health.to_string()));
       }
     }
   }

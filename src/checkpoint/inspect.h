@@ -73,10 +73,13 @@ struct RepairReport {
 };
 
 /// Repair a damaged store in place: for each rank, find the newest
-/// restorable prefix (truncated-tail restore), then move everything
-/// past it — corrupt tails, orphans whose chain position cannot be
-/// determined, and individually corrupt objects the restore does not
-/// need — under "quarantine/<key>" so no bytes are destroyed.  Commit
+/// restorable prefix (truncated-tail restore) whose live range passes
+/// the whole-object check — restore reads only winning chunks, so the
+/// prefix is cut below the first live object with damage anywhere —
+/// then move everything past it — corrupt tails, orphans whose chain
+/// position cannot be determined, and individually corrupt objects the
+/// restore does not need — under "quarantine/<key>" so no bytes are
+/// destroyed.  Commit
 /// markers that promise a sequence newer than some rank's recovered
 /// prefix are quarantined too.  Idempotent: a second run drops
 /// nothing.

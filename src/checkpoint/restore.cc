@@ -1,14 +1,15 @@
 #include "checkpoint/restore.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <set>
 
 #include "checkpoint/compress.h"
-#include "checkpoint/format.h"
 #include "common/crc32.h"
 #include "common/io_util.h"
 #include "common/page.h"
@@ -32,11 +33,9 @@ struct RestoreMetrics {
   obs::Counter& truncated_tails;
   obs::Histogram& plan_ns;
   obs::Histogram& decode_ns;
-  obs::Histogram& stitch_ns;
-  std::uint16_t t_plan;          ///< "restore.plan" span
-  std::uint16_t t_decode_shard;  ///< "restore.decode_shard" span
-  std::uint16_t t_stitch;        ///< "restore.stitch" span
-  std::uint16_t t_fail;          ///< "restore.fail" instant
+  std::uint16_t t_plan;         ///< "restore.plan" span
+  std::uint16_t t_decode_read;  ///< "restore.decode_read" span
+  std::uint16_t t_fail;         ///< "restore.fail" instant
 
   static RestoreMetrics& get() {
     auto& r = obs::registry();
@@ -48,12 +47,9 @@ struct RestoreMetrics {
                             r.counter("restore.truncated_tails"),
                             r.histogram("restore.plan_ns"),
                             r.histogram("restore.decode_ns"),
-                            r.histogram("restore.stitch_ns"),
                             obs::trace_name("restore.plan",
                                             obs::TraceCat::kRestore),
-                            obs::trace_name("restore.decode_shard",
-                                            obs::TraceCat::kRestore),
-                            obs::trace_name("restore.stitch",
+                            obs::trace_name("restore.decode_read",
                                             obs::TraceCat::kRestore),
                             obs::trace_name("restore.fail",
                                             obs::TraceCat::kRestore)};
@@ -77,30 +73,27 @@ auto sequential(storage::Reader& in) {
   return [&in](std::span<std::byte> rest) { return in.read(rest); };
 }
 
-/// Buffered sequential reader with CRC tracking and strict bounds.
-class CrcReader {
- public:
-  explicit CrcReader(storage::Reader& in) : in_(in) {}
+/// Read [offset, offset + out.size()) of an object with read_at(),
+/// counting every byte served in restore.bytes_read.
+Status read_range(storage::Reader& in, std::uint64_t offset,
+                  std::span<std::byte> out) {
+  auto& bytes_read = RestoreMetrics::get().bytes_read;
+  // `rest` is the still-unfilled tail of `out`.
+  return fill_exact(
+      [&](std::span<std::byte> rest) {
+        auto got = in.read_at(
+            offset + static_cast<std::uint64_t>(rest.data() - out.data()),
+            rest);
+        if (got.is_ok()) bytes_read.inc(*got);
+        return got;
+      },
+      out);
+}
 
-  Status read_exact(void* out, std::size_t len) {
-    ICKPT_RETURN_IF_ERROR(
-        fill_exact(sequential(in_), {static_cast<std::byte*>(out), len}));
-    crc_.update(out, len);
-    return Status::ok();
-  }
-
-  /// Read without CRC accounting (for the trailer itself).
-  Status read_raw(void* out, std::size_t len) {
-    return fill_exact(sequential(in_), {static_cast<std::byte*>(out), len},
-                      "truncated checkpoint trailer");
-  }
-
-  std::uint32_t crc() const noexcept { return crc_.value(); }
-
- private:
-  storage::Reader& in_;
-  Crc32 crc_;
-};
+template <typename T>
+std::span<std::byte> bytes_of(T& v) {
+  return {reinterpret_cast<std::byte*>(&v), sizeof v};
+}
 
 Status validate_header(const FileHeader& h, const std::string& key) {
   if (h.magic != kMagic) return corruption("bad magic in " + key);
@@ -120,37 +113,121 @@ Status validate_header(const FileHeader& h, const std::string& key) {
   return Status::ok();
 }
 
-struct ParsedCheckpoint {
-  FileHeader header;
-  RestoredState state;  ///< blocks with only *this file's* runs applied
-  /// For incrementals: per block, the runs present (page spans).
-  std::map<std::uint32_t, std::vector<RunHeader>> runs;
+Status validate_block(const BlockHeader& bh, const std::string& key) {
+  if (bh.name_len > 4096) return corruption("block name too long in " + key);
+  if (bh.bytes > (std::uint64_t{1} << 40)) {
+    return corruption("implausible block size in " + key);
+  }
+  return Status::ok();
+}
+
+/// Size the empty `out` to `len` zero bytes.  Zero-filling fresh memory
+/// is bound by page faults, so the 2 MiB-aligned interior of a large
+/// buffer is first advised onto transparent huge pages, which take 512
+/// times fewer faults.  A hint only: without huge pages nothing changes.
+void assign_zeroed(std::vector<std::byte>& out, std::size_t len) {
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  out.reserve(len);
+  const auto begin = reinterpret_cast<std::uintptr_t>(out.data());
+  const std::uintptr_t lo = (begin + kHugePage - 1) & ~(kHugePage - 1);
+  const std::uintptr_t hi = (begin + len) & ~(kHugePage - 1);
+  if (hi > lo) {
+    (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
+  }
+  out.assign(len, std::byte{0});
+}
+
+// ===================================================================
+// Sequential parse (fsck and the test oracle): every byte, every CRC.
+// ===================================================================
+
+/// Sequential reader with CRC tracking and strict bounds.  Bytes are
+/// hashed in pieces: cut() closes the current piece, folds it into the
+/// whole-object CRC and returns the piece's own CRC, so the chunk CRCs
+/// and the object CRC come from one pass over the bytes.
+class CrcReader {
+ public:
+  explicit CrcReader(storage::Reader& in) : in_(in) {}
+
+  Status read_exact(void* out, std::size_t len) {
+    ICKPT_RETURN_IF_ERROR(
+        fill_exact(sequential(in_), {static_cast<std::byte*>(out), len}));
+    piece_.update(out, len);
+    piece_len_ += len;
+    offset_ += len;
+    return Status::ok();
+  }
+
+  /// Read without CRC accounting (for the trailer itself).
+  Status read_raw(void* out, std::size_t len) {
+    return fill_exact(sequential(in_), {static_cast<std::byte*>(out), len},
+                      "truncated checkpoint trailer");
+  }
+
+  std::uint32_t cut() {
+    const std::uint32_t crc = piece_.value();
+    whole_.combine(crc, piece_len_);
+    piece_.reset();
+    piece_len_ = 0;
+    return crc;
+  }
+
+  /// CRC of everything read through read_exact.
+  std::uint32_t crc() {
+    cut();
+    return whole_.value();
+  }
+
+  std::uint64_t offset() const noexcept { return offset_; }
+
+  Result<bool> at_end() {
+    std::byte probe;
+    auto got = in_.read({&probe, 1});
+    if (!got.is_ok()) return got.status();
+    return *got == 0;
+  }
+
+ private:
+  storage::Reader& in_;
+  Crc32 whole_;
+  Crc32 piece_;
+  std::uint64_t piece_len_ = 0;
+  std::uint64_t offset_ = 0;
 };
 
-Result<ParsedCheckpoint> parse(storage::StorageBackend& storage,
-                               const std::string& key) {
+void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::byte*>(data);
+  buf.insert(buf.end(), p, p + len);
+}
+
+/// Parse the body, rebuilding the index it implies, then require the
+/// stored index and the trailer to match it exactly.
+Result<CheckpointFile> parse(storage::StorageBackend& storage,
+                             const std::string& key) {
   auto reader = storage.open(key);
   if (!reader.is_ok()) return reader.status();
   CrcReader in(**reader);
 
-  ParsedCheckpoint out;
+  CheckpointFile out;
   FileHeader& h = out.header;
   ICKPT_RETURN_IF_ERROR(in.read_exact(&h, sizeof h));
   ICKPT_RETURN_IF_ERROR(validate_header(h, key));
+  const std::uint32_t header_crc = in.cut();
 
   out.state.sequence = h.sequence;
   out.state.virtual_time = h.virtual_time;
 
+  std::vector<std::byte> index;
+  std::vector<ChunkEntry> chunks;
   const std::size_t psize = h.page_size;
   for (std::uint32_t b = 0; b < h.block_count; ++b) {
     BlockHeader bh;
     ICKPT_RETURN_IF_ERROR(in.read_exact(&bh, sizeof bh));
-    if (bh.name_len > 4096) return corruption("block name too long in " + key);
-    if (bh.bytes > (std::uint64_t{1} << 40)) {
-      return corruption("implausible block size in " + key);
-    }
+    ICKPT_RETURN_IF_ERROR(validate_block(bh, key));
     std::string name(bh.name_len, '\0');
     ICKPT_RETURN_IF_ERROR(in.read_exact(name.data(), name.size()));
+    append(index, &bh, sizeof bh);
+    append(index, name.data(), name.size());
 
     RestoredBlock block;
     block.id = bh.block_id;
@@ -168,6 +245,9 @@ Result<ParsedCheckpoint> parse(storage::StorageBackend& storage,
       if (std::size_t{run.first_page} + run.page_count > block_pages) {
         return corruption("run out of block bounds in " + key);
       }
+      append(index, &run, sizeof run);
+      in.cut();  // the run's chunks start here
+      std::uint32_t chunk_len = 0;
       for (std::uint32_t p = 0; p < run.page_count; ++p) {
         PageRecord rec;
         ICKPT_RETURN_IF_ERROR(in.read_exact(&rec, sizeof rec));
@@ -184,13 +264,27 @@ Result<ParsedCheckpoint> parse(storage::StorageBackend& storage,
             psize};
         ICKPT_RETURN_IF_ERROR(decode_page(
             static_cast<PageEncoding>(rec.encoding), payload, page_out));
+        chunk_len += static_cast<std::uint32_t>(sizeof rec) + rec.payload_len;
+        if ((p + 1) % kChunkPages == 0 || p + 1 == run.page_count) {
+          chunks.push_back(ChunkEntry{chunk_len, in.cut()});
+          chunk_len = 0;
+        }
       }
       run_list.push_back(run);
     }
     out.state.blocks.emplace(block.id, std::move(block));
   }
+  const std::uint64_t body_end = in.offset();
+  append(index, chunks.data(), chunks.size() * sizeof(ChunkEntry));
 
-  std::uint32_t computed_crc = in.crc();
+  in.cut();
+  std::vector<std::byte> stored(index.size());
+  ICKPT_RETURN_IF_ERROR(in.read_exact(stored.data(), stored.size()));
+  const std::uint32_t stored_crc = in.cut();
+  if (stored != index) {
+    return corruption("body and index disagree in " + key);
+  }
+  const std::uint32_t computed_crc = in.crc();
   FileTrailer trailer;
   ICKPT_RETURN_IF_ERROR(in.read_raw(&trailer, sizeof trailer));
   if (trailer.end_magic != kEndMagic) {
@@ -199,38 +293,22 @@ Result<ParsedCheckpoint> parse(storage::StorageBackend& storage,
   if (trailer.crc32 != computed_crc) {
     return corruption("crc mismatch in " + key);
   }
+  if (trailer.index_offset != body_end ||
+      trailer.index_crc !=
+          crc32_combine(header_crc, stored_crc, stored.size())) {
+    return corruption("bad index trailer in " + key);
+  }
+  auto end = in.at_end();
+  if (!end.is_ok()) return end.status();
+  if (!*end) return corruption("bytes after trailer in " + key);
   return out;
 }
 
 // ===================================================================
-// Phase 1 (plan): header peek, manifest scan, newest-wins page plan.
+// Plan: header, trailer and index of each object; newest-wins pages.
 // ===================================================================
 
-/// One page payload inside one object, located during the manifest
-/// scan.  `decode` is set during planning for the single newest writer
-/// of each surviving (block, page).
-struct PageEntry {
-  std::uint64_t rec_offset = 0;  ///< file offset of the PageRecord
-  std::uint32_t payload_len = 0;
-  std::uint32_t encoding = 0;
-  std::uint32_t block_id = 0;
-  std::uint32_t page_index = 0;  ///< within the block
-  bool decode = false;
-};
-
-/// A contiguous byte range of one object, in file order.  Structural
-/// segments (headers, names, run tables) are CRC'd during the scan;
-/// page segments (PageRecord + payload interleavings of one run) are
-/// CRC'd by the decode shards that read them.  Folding all segment
-/// CRCs in order via crc32_combine reproduces the full-file CRC.
-struct Segment {
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-  std::uint32_t crc = 0;       ///< structural segments only
-  bool structural = true;
-  std::size_t first_page = 0;  ///< page segments: index into pages
-  std::size_t page_count = 0;
-};
+static_assert(kChunkPages <= 16, "Chunk::winners is a 16-bit page mask");
 
 /// Block manifest entry as first seen (restore keeps the oldest live
 /// object's name/kind for a block, like the serial overlay did).
@@ -241,184 +319,144 @@ struct BlockMeta {
   std::size_t rounded = 0;  ///< page-rounded extent
 };
 
-struct ObjectPlan {
+/// One indexed chunk of one object.
+struct Chunk {
+  std::uint64_t offset = 0;  ///< of the chunk's first PageRecord
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+  std::uint32_t block_id = 0;
+  std::uint32_t first_page = 0;  ///< within the block
+  std::uint32_t page_count = 0;
+  std::uint16_t winners = 0;     ///< bit i: page first_page + i is returned
+  std::byte* out = nullptr;      ///< the block's output (winning chunks)
+};
+
+struct ObjectIndex {
   std::string key;
   FileHeader header;
   std::vector<BlockMeta> manifest;  ///< every block listed (runs or not)
-  std::vector<PageEntry> pages;     ///< file order
-  std::vector<Segment> segments;    ///< file order, header..last payload
-  std::uint32_t trailer_crc = 0;
+  std::vector<Chunk> chunks;        ///< body order
 };
 
-/// Buffered scanner over a storage::Reader that separates structural
-/// bytes (CRC'd now) from payload bytes (skipped now, CRC'd by decode
-/// shards).  Reads through read_at(), so a skip past the buffer is a
-/// jump, not a read.
-class ObjectScanner {
+/// Bounds-checked cursor over an in-memory byte range.
+class ByteCursor {
  public:
-  static constexpr std::size_t kBufSize = 64 * 1024;
+  explicit ByteCursor(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-  explicit ObjectScanner(storage::Reader& in) : in_(in) {}
-
-  /// Read bytes without CRC accounting (PageRecords, the trailer).
-  Status read_plain(void* out, std::size_t len) {
-    auto* dst = static_cast<std::byte*>(out);
-    std::size_t got = 0;
-    while (got < len) {
-      if (pos_ == len_) ICKPT_RETURN_IF_ERROR(refill());
-      std::size_t n = std::min(len - got, len_ - pos_);
-      std::memcpy(dst + got, buf_.data() + pos_, n);
-      pos_ += n;
-      offset_ += n;
-      got += n;
-    }
-    return Status::ok();
+  bool take(void* out, std::size_t len) {
+    if (len > bytes_.size() - pos_) return false;
+    std::memcpy(out, bytes_.data() + pos_, len);
+    pos_ += len;
+    return true;
   }
 
-  /// Read bytes into the current structural segment.
-  Status read_struct(void* out, std::size_t len) {
-    if (piece_len_ == 0) piece_off_ = offset_;
-    ICKPT_RETURN_IF_ERROR(read_plain(out, len));
-    piece_.update(out, len);
-    piece_len_ += len;
-    return Status::ok();
-  }
-
-  /// Skip payload bytes: consume what is buffered, jump over the rest.
-  void skip(std::uint64_t len) {
-    const auto buffered = std::min<std::uint64_t>(len, len_ - pos_);
-    pos_ += static_cast<std::size_t>(buffered);
-    offset_ += len;
-  }
-
-  /// Close the current structural segment, if any, into `segs`.
-  void end_struct(std::vector<Segment>& segs) {
-    if (piece_len_ == 0) return;
-    Segment s;
-    s.offset = piece_off_;
-    s.length = piece_len_;
-    s.crc = piece_.value();
-    s.structural = true;
-    segs.push_back(s);
-    piece_.reset();
-    piece_len_ = 0;
-  }
-
-  std::uint64_t offset() const noexcept { return offset_; }
+  bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
-  Status refill() {
-    buf_.resize(kBufSize);
-    pos_ = 0;
-    len_ = 0;
-    auto got = in_.read_at(offset_, {buf_.data(), buf_.size()});
-    if (!got.is_ok()) return got.status();
-    if (*got == 0) return corruption("truncated checkpoint file");
-    len_ = *got;
-    return Status::ok();
-  }
-
-  storage::Reader& in_;
-  std::uint64_t offset_ = 0;  ///< logical position == buffer start + pos_
-  std::vector<std::byte> buf_;
+  std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-  Crc32 piece_;
-  std::uint64_t piece_len_ = 0;
-  std::uint64_t piece_off_ = 0;
 };
 
-/// Read just the FileHeader (read-exact: streaming backends may return
-/// short counts), without touching the rest of the object.
-Result<FileHeader> peek_header(storage::StorageBackend& storage,
-                               const std::string& key) {
-  auto reader = storage.open(key);
-  if (!reader.is_ok()) return reader.status();
-  FileHeader h;
-  auto got = ioutil::read_full(sequential(**reader),
-                               {reinterpret_cast<std::byte*>(&h), sizeof h});
-  if (!got.is_ok()) return got.status();
-  if (*got < sizeof h) return corruption("bad header in " + key);
-  ICKPT_RETURN_IF_ERROR(validate_header(h, key));
-  return h;
-}
+/// Parse an index whose CRC has been checked.  Every bound the body
+/// scan would check is checked here: runs inside their block, chunk
+/// lengths that can hold their page records, and chunk offsets that
+/// end exactly where the index begins.
+Status parse_index(std::span<const std::byte> bytes,
+                   std::uint64_t index_offset, ObjectIndex& obj) {
+  const std::string& key = obj.key;
+  const auto bad = [&key] { return corruption("bad index in " + key); };
+  const std::uint64_t psize = obj.header.page_size;
+  ByteCursor in(bytes);
 
-/// Structural scan of one object: headers, names, run tables and page
-/// records are read (and CRC'd into structural segments); page
-/// payloads are skipped.  No payload is decoded.
-Result<ObjectPlan> scan_object(storage::StorageBackend& storage,
-                               const std::string& key) {
-  auto reader = storage.open(key);
-  if (!reader.is_ok()) return reader.status();
-  ObjectScanner in(**reader);
-
-  ObjectPlan out;
-  out.key = key;
-  FileHeader& h = out.header;
-  ICKPT_RETURN_IF_ERROR(in.read_struct(&h, sizeof h));
-  ICKPT_RETURN_IF_ERROR(validate_header(h, key));
-
-  const std::size_t psize = h.page_size;
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
+  // Manifest and run tables.  `lead` counts the structural body bytes
+  // (block headers, names, run headers) before each run's chunks.
+  struct Run {
+    std::uint32_t block_id;
+    RunHeader run;
+    std::uint64_t lead;
+  };
+  std::vector<Run> runs;
+  std::uint64_t lead = 0;
+  for (std::uint32_t b = 0; b < obj.header.block_count; ++b) {
     BlockHeader bh;
-    ICKPT_RETURN_IF_ERROR(in.read_struct(&bh, sizeof bh));
-    if (bh.name_len > 4096) return corruption("block name too long in " + key);
-    if (bh.bytes > (std::uint64_t{1} << 40)) {
-      return corruption("implausible block size in " + key);
-    }
-    std::string name(bh.name_len, '\0');
-    ICKPT_RETURN_IF_ERROR(in.read_struct(name.data(), name.size()));
-
+    if (!in.take(&bh, sizeof bh)) return bad();
+    ICKPT_RETURN_IF_ERROR(validate_block(bh, key));
     BlockMeta meta;
     meta.id = bh.block_id;
-    meta.name = std::move(name);
+    meta.name.resize(bh.name_len);
+    if (!in.take(meta.name.data(), meta.name.size())) return bad();
     meta.kind = static_cast<region::AreaKind>(bh.kind);
     meta.rounded = page_ceil(bh.bytes, psize);
-    const std::size_t block_pages = meta.rounded / psize;
-
+    lead += sizeof bh + bh.name_len;
     for (std::uint32_t r = 0; r < bh.run_count; ++r) {
       RunHeader run;
-      ICKPT_RETURN_IF_ERROR(in.read_struct(&run, sizeof run));
-      if (std::size_t{run.first_page} + run.page_count > block_pages) {
+      if (!in.take(&run, sizeof run)) return bad();
+      if (std::uint64_t{run.first_page} + run.page_count >
+          meta.rounded / psize) {
         return corruption("run out of block bounds in " + key);
       }
-      if (run.page_count == 0) continue;
-      in.end_struct(out.segments);
-      Segment seg;
-      seg.structural = false;
-      seg.offset = in.offset();
-      seg.first_page = out.pages.size();
-      seg.page_count = run.page_count;
-      for (std::uint32_t p = 0; p < run.page_count; ++p) {
-        PageRecord rec;
-        const std::uint64_t rec_offset = in.offset();
-        ICKPT_RETURN_IF_ERROR(in.read_plain(&rec, sizeof rec));
-        if (rec.payload_len > 2 * psize) {
-          return corruption("implausible page payload in " + key);
-        }
-        PageEntry pe;
-        pe.rec_offset = rec_offset;
-        pe.payload_len = rec.payload_len;
-        pe.encoding = rec.encoding;
-        pe.block_id = bh.block_id;
-        pe.page_index = run.first_page + p;
-        out.pages.push_back(pe);
-        in.skip(rec.payload_len);
-      }
-      seg.length = in.offset() - seg.offset;
-      out.segments.push_back(seg);
+      runs.push_back(Run{bh.block_id, run, lead + sizeof run});
+      lead = 0;
     }
-    out.manifest.push_back(std::move(meta));
+    obj.manifest.push_back(std::move(meta));
   }
-  in.end_struct(out.segments);
 
+  // Chunk entries; their offsets are running sums over the body.
+  std::uint64_t offset = sizeof(FileHeader);
+  for (const Run& r : runs) {
+    offset += r.lead;
+    for (std::uint32_t c = 0; std::uint64_t{c} * kChunkPages < r.run.page_count;
+         ++c) {
+      ChunkEntry e;
+      if (!in.take(&e, sizeof e)) return bad();
+      Chunk chunk;
+      chunk.offset = offset;
+      chunk.length = e.length;
+      chunk.crc = e.crc32;
+      chunk.block_id = r.block_id;
+      chunk.first_page = r.run.first_page + c * kChunkPages;
+      chunk.page_count =
+          std::min(kChunkPages, r.run.page_count - c * kChunkPages);
+      if (e.length < std::uint64_t{chunk.page_count} * sizeof(PageRecord) ||
+          e.length > chunk.page_count * (sizeof(PageRecord) + 2 * psize)) {
+        return bad();
+      }
+      obj.chunks.push_back(chunk);
+      offset += e.length;
+    }
+  }
+  if (!in.done() || offset + lead != index_offset) return bad();
+  return Status::ok();
+}
+
+/// Read the trailer and the index at the end of an object and check
+/// the index CRC, which covers the header too.
+Status read_index(storage::Reader& in, ObjectIndex& obj) {
+  const std::string& key = obj.key;
+  const std::uint64_t size = in.size();
+  if (size < sizeof(FileHeader) + sizeof(FileTrailer)) {
+    return corruption("truncated checkpoint file " + key);
+  }
   FileTrailer trailer;
-  ICKPT_RETURN_IF_ERROR(in.read_plain(&trailer, sizeof trailer));
+  ICKPT_RETURN_IF_ERROR(
+      read_range(in, size - sizeof trailer, bytes_of(trailer)));
   if (trailer.end_magic != kEndMagic) {
     return corruption("bad end magic in " + key);
   }
-  out.trailer_crc = trailer.crc32;
-  return out;
+  const std::uint64_t index_end = size - sizeof trailer;
+  if (trailer.index_offset < sizeof(FileHeader) ||
+      trailer.index_offset > index_end) {
+    return corruption("bad index trailer in " + key);
+  }
+  std::vector<std::byte> index(index_end - trailer.index_offset);
+  ICKPT_RETURN_IF_ERROR(read_range(in, trailer.index_offset, index));
+  Crc32 crc;
+  crc.update(&obj.header, sizeof obj.header);
+  crc.update(index);
+  if (crc.value() != trailer.index_crc) {
+    return corruption("index crc mismatch in " + key);
+  }
+  return parse_index(index, trailer.index_offset, obj);
 }
 
 /// Parse "rank<r>/ckpt-<seq>" (any zero-pad width).  Lets the planner
@@ -433,103 +471,99 @@ bool parse_key_sequence(const std::string& key, std::uint64_t* seq) {
 }
 
 struct Candidate {
-  std::string key;
   std::uint64_t sequence = 0;
   bool header_ok = false;
-  FileHeader header;
+  ObjectIndex object;   ///< header always; index when at or below upto
+  Status index_status;  ///< why the index is unusable
 };
 
-// ===================================================================
-// Phase 2 (decode): sharded payload read + decode, CRC stitching.
-// ===================================================================
-
-struct DecodeShard {
-  std::size_t obj_idx = 0;
-  std::uint64_t offset = 0;  ///< byte range in the object
-  std::uint64_t length = 0;
-  std::size_t first_page = 0;  ///< into ObjectPlan::pages
-  std::uint32_t page_count = 0;
-  std::uint32_t crc = 0;  ///< CRC of the byte range (set by the worker)
-  std::uint32_t decoded = 0;
-  std::uint32_t skipped = 0;
-  Status status;  ///< per-shard result
-};
-
-/// Read [offset, offset+len) of an object into `out` with read_at().
-Status read_range(storage::Reader& in, std::uint64_t offset,
-                  std::span<std::byte> out) {
-  // `rest` is the still-unfilled tail of `out`.
-  return fill_exact(
-      [&](std::span<std::byte> rest) {
-        return in.read_at(
-            offset + static_cast<std::uint64_t>(rest.data() - out.data()),
-            rest);
-      },
-      out);
-}
-
-/// Decode one shard: read its byte range into a shard buffer, CRC it,
-/// decode the winner pages straight into the final block buffers.
-/// Shards touch disjoint output pages, so workers never race.
-void run_shard(storage::StorageBackend& storage,
-               const std::vector<ObjectPlan>& objs,
-               const std::map<std::uint32_t, std::byte*>& out_base,
-               DecodeShard& s) {
-  obs::TraceSpan span(RestoreMetrics::get().t_decode_shard, s.page_count,
-                      s.length);
-  const ObjectPlan& obj = objs[s.obj_idx];
+/// Open one object and read its header; when it is at or below `upto`,
+/// also its trailer and index.  One open and at most three read_at
+/// calls.  Returns the header's status; the index's lands in
+/// `c.index_status`.
+Status probe(storage::StorageBackend& storage, std::uint64_t upto,
+             Candidate& c) {
+  ObjectIndex& obj = c.object;
   auto reader = storage.open(obj.key);
-  if (!reader.is_ok()) {
-    s.status = reader.status();
-    return;
+  if (!reader.is_ok()) return reader.status();
+  if ((*reader)->size() < sizeof obj.header) {
+    return corruption("bad header in " + obj.key);
   }
-  std::vector<std::byte> bytes(static_cast<std::size_t>(s.length));
-  s.status = read_range(**reader, s.offset, bytes);
-  if (!s.status.is_ok()) return;
-  s.crc = crc32(bytes);
-
-  const std::size_t psize = obj.header.page_size;
-  for (std::size_t i = s.first_page; i < s.first_page + s.page_count; ++i) {
-    const PageEntry& pe = obj.pages[i];
-    const std::size_t rel =
-        static_cast<std::size_t>(pe.rec_offset - s.offset);
-    PageRecord rec;
-    std::memcpy(&rec, bytes.data() + rel, sizeof rec);
-    if (rec.payload_len != pe.payload_len || rec.encoding != pe.encoding) {
-      s.status = corruption("object changed during restore: " + obj.key);
-      return;
-    }
-    if (!pe.decode) {
-      ++s.skipped;
-      continue;
-    }
-    std::span<const std::byte> payload{bytes.data() + rel + sizeof rec,
-                                       pe.payload_len};
-    std::span<std::byte> page_out{
-        out_base.at(pe.block_id) + std::size_t{pe.page_index} * psize,
-        psize};
-    s.status = decode_page(static_cast<PageEncoding>(pe.encoding), payload,
-                           page_out);
-    if (!s.status.is_ok()) return;
-    ++s.decoded;
-  }
+  ICKPT_RETURN_IF_ERROR(read_range(**reader, 0, bytes_of(obj.header)));
+  ICKPT_RETURN_IF_ERROR(validate_header(obj.header, obj.key));
+  c.header_ok = true;
+  c.sequence = obj.header.sequence;
+  if (c.sequence <= upto) c.index_status = read_index(**reader, obj);
+  return Status::ok();
 }
 
-/// Shard granularity: mirror the encoder's policy — enough shards to
-/// balance the workers, large enough to amortize dispatch, bounded so
-/// one shard's buffer stays a few MB.
-std::uint32_t pick_shard_pages(std::uint64_t total_pages, int threads) {
-  const std::uint64_t target =
-      total_pages / (static_cast<std::uint64_t>(threads) * 8) + 1;
-  return static_cast<std::uint32_t>(
-      std::clamp<std::uint64_t>(target, 16, 1024));
+// ===================================================================
+// Decode: read the winning chunks, verify, decode.
+// ===================================================================
+
+/// Reads merge consecutive winning chunks of one object up to this
+/// many bytes (a single larger chunk is read alone).
+constexpr std::uint64_t kMaxRead = 1 << 20;
+
+/// One read: winning chunks [first, end) of one object, with only
+/// structural bytes between them.
+struct ChunkRead {
+  std::uint32_t obj = 0;
+  std::uint32_t first = 0;
+  std::uint32_t end = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  Status status;
+  std::uint32_t decoded = 0;
+};
+
+/// Read one range, check each chunk's CRC, then decode its winning
+/// pages into their blocks.  Chunks own disjoint output pages, so
+/// workers never race.
+Status decode_read(storage::Reader& in, const ObjectIndex& obj,
+                   ChunkRead& r, std::vector<std::byte>& buf) {
+  obs::TraceSpan span(RestoreMetrics::get().t_decode_read, r.end - r.first,
+                      r.length);
+  const auto len = static_cast<std::size_t>(r.length);
+  if (buf.size() < len) buf.resize(len);
+  ICKPT_RETURN_IF_ERROR(read_range(in, r.offset, {buf.data(), len}));
+  const std::size_t psize = obj.header.page_size;
+  const auto unfilled = [&obj] {
+    return corruption("page records do not fill a chunk in " + obj.key);
+  };
+  for (std::uint32_t c = r.first; c < r.end; ++c) {
+    const Chunk& chunk = obj.chunks[c];
+    const std::span<const std::byte> bytes{
+        buf.data() + (chunk.offset - r.offset), chunk.length};
+    if (crc32(bytes) != chunk.crc) {
+      return corruption("crc mismatch in " + obj.key);
+    }
+    std::size_t pos = 0;
+    for (std::uint32_t p = 0; p < chunk.page_count; ++p) {
+      PageRecord rec;
+      if (bytes.size() - pos < sizeof rec) return unfilled();
+      std::memcpy(&rec, bytes.data() + pos, sizeof rec);
+      pos += sizeof rec;
+      if (rec.payload_len > bytes.size() - pos) return unfilled();
+      if ((chunk.winners >> p) & 1u) {
+        ICKPT_RETURN_IF_ERROR(decode_page(
+            static_cast<PageEncoding>(rec.encoding),
+            bytes.subspan(pos, rec.payload_len),
+            {chunk.out + (std::size_t{chunk.first_page} + p) * psize, psize}));
+        ++r.decoded;
+      }
+      pos += rec.payload_len;
+    }
+    if (pos != bytes.size()) return unfilled();
+  }
+  return Status::ok();
 }
 
 /// One strict plan-then-decode attempt at `upto`.  In tolerant mode
 /// (`truncate_tail`) chain damage detectable from headers alone is
-/// healed by cutting the candidate list; damage found later (corrupt
-/// manifest or payload in the live range) is reported via *failed_seq
-/// so the caller can retry below it.
+/// healed by cutting the candidate list; damage found later (a corrupt
+/// index or winning chunk in the live range) is reported via
+/// *failed_seq so the caller can retry below it.
 Result<RestoredState> attempt(storage::StorageBackend& storage,
                               std::uint32_t rank, std::uint64_t upto,
                               int threads, bool truncate_tail,
@@ -538,6 +572,11 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   auto& metrics = RestoreMetrics::get();
   obs::ScopedTimer plan_timer(metrics.plan_ns);
   obs::TraceSpan plan_span(metrics.t_plan, upto);
+  const auto fail = [&](std::uint64_t seq, Status st) {
+    *failed_seq = seq;
+    *have_failed_seq = true;
+    return st;
+  };
 
   auto keys = storage.list();
   if (!keys.is_ok()) return keys.status();
@@ -550,25 +589,22 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     return not_found("no checkpoints for rank " + std::to_string(rank));
   }
 
-  // ---- Header peek: place every object in the chain by sequence.
+  // ---- Probe: place every object in the chain by sequence, and read
+  // the index of every object at or below upto.
   std::vector<Candidate> cands;
   cands.reserve(chain_keys.size());
   for (const auto& k : chain_keys) {
     Candidate c;
-    c.key = k;
-    auto h = peek_header(storage, k);
-    if (h.is_ok()) {
-      c.header_ok = true;
-      c.header = *h;
-      c.sequence = h->sequence;
-    } else if (!parse_key_sequence(k, &c.sequence)) {
+    c.object.key = k;
+    const Status h = probe(storage, upto, c);
+    if (!c.header_ok && !parse_key_sequence(k, &c.sequence)) {
       // Unreadable header and unparseable key: the object cannot even
       // be placed in the chain.
-      if (!truncate_tail) return h.status();
+      if (!truncate_tail) return h;
       continue;  // orphan; fsck --repair quarantines these
     }
-    if (c.sequence > upto) continue;  // peeked only, never fully parsed
-    if (!c.header_ok && !truncate_tail) return h.status();
+    if (c.sequence > upto) continue;  // header only, never indexed
+    if (!c.header_ok && !truncate_tail) return h;
     cands.push_back(std::move(c));
   }
   if (cands.empty()) {
@@ -607,7 +643,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   std::ptrdiff_t start = -1;
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(cands.size()) - 1;
        i >= 0; --i) {
-    if (cands[static_cast<std::size_t>(i)].header.kind ==
+    if (cands[static_cast<std::size_t>(i)].object.header.kind ==
         static_cast<std::uint16_t>(Kind::kFull)) {
       start = i;
       break;
@@ -618,13 +654,13 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   }
   std::size_t end = cands.size();
   for (std::size_t i = static_cast<std::size_t>(start) + 1; i < end; ++i) {
-    if (cands[i].header.parent_sequence != cands[i - 1].sequence) {
+    const FileHeader& h = cands[i].object.header;
+    if (h.parent_sequence != cands[i - 1].sequence) {
       if (!truncate_tail) {
         return corruption(
             "chain gap: sequence " + std::to_string(cands[i].sequence) +
-            " expects parent " +
-            std::to_string(cands[i].header.parent_sequence) + " but " +
-            std::to_string(cands[i - 1].sequence) +
+            " expects parent " + std::to_string(h.parent_sequence) +
+            " but " + std::to_string(cands[i - 1].sequence) +
             " is the newest applied");
       }
       end = i;  // recover the prefix before the gap
@@ -632,22 +668,20 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     }
   }
 
-  // ---- Manifest scan of the live range (seed..end) and page plan.
-  std::vector<ObjectPlan> objs;
+  // ---- The live range (seed..end) must have usable indexes.
+  std::vector<ObjectIndex> objs;
   objs.reserve(end - static_cast<std::size_t>(start));
   for (std::size_t i = static_cast<std::size_t>(start); i < end; ++i) {
-    auto plan = scan_object(storage, cands[i].key);
-    if (!plan.is_ok()) {
-      *failed_seq = cands[i].sequence;
-      *have_failed_seq = true;
-      return plan.status();
+    if (!cands[i].index_status.is_ok()) {
+      return fail(cands[i].sequence, cands[i].index_status);
     }
-    objs.push_back(std::move(plan.value()));
+    objs.push_back(std::move(cands[i].object));
   }
 
+  // ---- Newest-wins page plan over the indexed manifests.
   struct Winner {
     std::uint32_t obj = UINT32_MAX;
-    std::uint32_t page = 0;  ///< into objs[obj].pages
+    std::uint32_t chunk = 0;  ///< into objs[obj].chunks
   };
   struct LiveBlock {
     BlockMeta meta;  ///< first-seen name/kind/extent
@@ -656,12 +690,12 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   std::map<std::uint32_t, LiveBlock> live;
   const std::uint32_t psize = objs.front().header.page_size;
   std::set<std::uint32_t> listed;
+  std::uint64_t total_pages = 0;
   for (std::size_t o = 0; o < objs.size(); ++o) {
-    ObjectPlan& obj = objs[o];
+    ObjectIndex& obj = objs[o];
     if (obj.header.page_size != psize) {
-      *failed_seq = obj.header.sequence;
-      *have_failed_seq = true;
-      return corruption("page size changed mid-chain in " + obj.key);
+      return fail(obj.header.sequence,
+                  corruption("page size changed mid-chain in " + obj.key));
     }
     // Memory exclusion: drop blocks absent from the newer manifest.
     listed.clear();
@@ -683,142 +717,124 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
       } else if (it->second.meta.rounded != m.rounded) {
         // Same id cannot change extent (reallocation assigns fresh
         // ids); treat as corruption rather than guessing.
-        *failed_seq = obj.header.sequence;
-        *have_failed_seq = true;
-        return corruption("block " + std::to_string(m.id) +
-                          " changed size mid-chain");
+        return fail(obj.header.sequence,
+                    corruption("block " + std::to_string(m.id) +
+                               " changed size mid-chain"));
       }
     }
-    for (std::size_t p = 0; p < obj.pages.size(); ++p) {
-      const PageEntry& pe = obj.pages[p];
-      auto it = live.find(pe.block_id);
-      if (it == live.end() || pe.page_index >= it->second.winners.size()) {
-        *failed_seq = obj.header.sequence;
-        *have_failed_seq = true;
-        return corruption("run out of block bounds in " + obj.key);
+    for (std::size_t c = 0; c < obj.chunks.size(); ++c) {
+      const Chunk& chunk = obj.chunks[c];
+      auto it = live.find(chunk.block_id);
+      if (it == live.end() || std::size_t{chunk.first_page} + chunk.page_count >
+                                  it->second.winners.size()) {
+        return fail(obj.header.sequence,
+                    corruption("run out of block bounds in " + obj.key));
       }
-      it->second.winners[pe.page_index] =
-          Winner{static_cast<std::uint32_t>(o),
-                 static_cast<std::uint32_t>(p)};
-    }
-  }
-  // Newest-wins: mark the single decoder of each surviving page.
-  for (const auto& [id, lb] : live) {
-    for (const Winner& w : lb.winners) {
-      if (w.obj != UINT32_MAX) objs[w.obj].pages[w.page].decode = true;
+      for (std::uint32_t p = 0; p < chunk.page_count; ++p) {
+        it->second.winners[chunk.first_page + p] =
+            Winner{static_cast<std::uint32_t>(o),
+                   static_cast<std::uint32_t>(c)};
+      }
+      total_pages += chunk.page_count;
     }
   }
 
-  // ---- Output state: final footprint only, zero-filled.
+  // ---- Output state (final footprint only, zero-filled); mark the
+  // single writer of each surviving page in its chunk.
   RestoredState state;
   state.sequence = objs.back().header.sequence;
   state.virtual_time = objs.back().header.virtual_time;
-  std::map<std::uint32_t, std::byte*> out_base;
   for (const auto& [id, lb] : live) {
     RestoredBlock b;
     b.id = id;
     b.name = lb.meta.name;
     b.kind = lb.meta.kind;
-    b.data.assign(lb.meta.rounded, std::byte{0});
-    auto [it, inserted] = state.blocks.emplace(id, std::move(b));
-    out_base[id] = it->second.data.data();
+    assign_zeroed(b.data, lb.meta.rounded);
+    std::byte* out =
+        state.blocks.emplace(id, std::move(b)).first->second.data.data();
+    for (std::size_t p = 0; p < lb.winners.size(); ++p) {
+      const Winner& w = lb.winners[p];
+      if (w.obj == UINT32_MAX) continue;
+      Chunk& chunk = objs[w.obj].chunks[w.chunk];
+      chunk.winners = static_cast<std::uint16_t>(
+          chunk.winners | (1u << (p - chunk.first_page)));
+      chunk.out = out;
+    }
   }
 
-  // ---- Shard every page segment for the decode pool.
-  std::uint64_t total_pages = 0;
-  for (const auto& obj : objs) total_pages += obj.pages.size();
-  const std::uint32_t shard_pages =
-      pick_shard_pages(total_pages, std::max(1, threads));
-  std::vector<DecodeShard> shards;
-  // Per object, the indices of its shards in file order (for the fold).
-  std::vector<std::vector<std::size_t>> object_shards(objs.size());
+  // ---- Reads: consecutive winning chunks, merged up to kMaxRead.
+  std::vector<ChunkRead> reads;
   for (std::size_t o = 0; o < objs.size(); ++o) {
-    const ObjectPlan& obj = objs[o];
-    for (const Segment& seg : obj.segments) {
-      if (seg.structural) continue;
-      for (std::size_t off = 0; off < seg.page_count; off += shard_pages) {
-        DecodeShard s;
-        s.obj_idx = o;
-        s.first_page = seg.first_page + off;
-        s.page_count = static_cast<std::uint32_t>(
-            std::min<std::size_t>(shard_pages, seg.page_count - off));
-        s.offset = obj.pages[s.first_page].rec_offset;
-        const std::size_t last = s.first_page + s.page_count - 1;
-        s.length = obj.pages[last].rec_offset + sizeof(PageRecord) +
-                   obj.pages[last].payload_len - s.offset;
-        object_shards[o].push_back(shards.size());
-        shards.push_back(s);
+    const std::vector<Chunk>& chunks = objs[o].chunks;
+    for (std::size_t c = 0; c < chunks.size();) {
+      if (chunks[c].winners == 0) {
+        ++c;
+        continue;
       }
+      ChunkRead r;
+      r.obj = static_cast<std::uint32_t>(o);
+      r.first = static_cast<std::uint32_t>(c);
+      r.offset = chunks[c].offset;
+      for (r.end = r.first; r.end < chunks.size() &&
+                            chunks[r.end].winners != 0;
+           ++r.end) {
+        const std::uint64_t stop = chunks[r.end].offset + chunks[r.end].length;
+        if (r.end > r.first && stop - r.offset > kMaxRead) break;
+        r.length = stop - r.offset;
+      }
+      c = r.end;
+      reads.push_back(std::move(r));
     }
   }
 
   plan_timer.stop();
-  plan_span.end(total_pages, shards.size());
+  plan_span.end(total_pages, reads.size());
   obs::ScopedTimer decode_timer(metrics.decode_ns);
 
-  if (threads > 1 && shards.size() > 1) {
-    ThreadPool pool(static_cast<std::size_t>(threads));
-    for (DecodeShard& s : shards) {
-      pool.submit([&storage, &objs, &out_base, &s] {
-        run_shard(storage, objs, out_base, s);
-      });
+  // Reads are in object order and each worker takes the next one, so a
+  // worker reaches each object at most once and opens it once.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    std::uint32_t open_obj = UINT32_MAX;
+    std::unique_ptr<storage::Reader> reader;
+    Status open_status;
+    std::vector<std::byte> buf;
+    for (std::size_t i = next.fetch_add(1); i < reads.size();
+         i = next.fetch_add(1)) {
+      ChunkRead& r = reads[i];
+      if (r.obj != open_obj) {
+        open_obj = r.obj;
+        auto opened = storage.open(objs[r.obj].key);
+        open_status = opened.status();
+        reader = opened.is_ok() ? std::move(*opened) : nullptr;
+      }
+      r.status = reader != nullptr ? decode_read(*reader, objs[r.obj], r, buf)
+                                   : open_status;
     }
+  };
+  const std::size_t workers =
+      std::min(reads.size(), static_cast<std::size_t>(std::max(1, threads)));
+  if (workers > 1) {
+    ThreadPool pool(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.submit(worker);
     pool.wait_idle();
   } else {
-    for (DecodeShard& s : shards) {
-      run_shard(storage, objs, out_base, s);
-    }
+    worker();
   }
-
   decode_timer.stop();
-  obs::ScopedTimer stitch_timer(metrics.stitch_ns);
-  obs::TraceSpan stitch_span(metrics.t_stitch);
 
-  // ---- Stitch: surface shard failures (oldest object first, so a
-  // tolerant retry truncates as little as possible), then fold segment
-  // CRCs in file order and compare against each trailer.
+  // ---- Surface failures oldest object first, so a tolerant retry
+  // truncates as little as possible.
   std::uint64_t pages_decoded = 0;
-  std::uint64_t pages_skipped = 0;
-  std::uint64_t bytes_read = 0;
-  for (std::size_t o = 0; o < objs.size(); ++o) {
-    for (std::size_t si : object_shards[o]) {
-      const DecodeShard& s = shards[si];
-      if (!s.status.is_ok()) {
-        *failed_seq = objs[o].header.sequence;
-        *have_failed_seq = true;
-        return s.status;
-      }
-      pages_decoded += s.decoded;
-      pages_skipped += s.skipped;
-      bytes_read += s.length;
-    }
-    Crc32 fold;
-    std::size_t next_shard = 0;
-    for (const Segment& seg : objs[o].segments) {
-      if (seg.structural) {
-        fold.combine(seg.crc, seg.length);
-        continue;
-      }
-      std::uint64_t covered = 0;
-      while (covered < seg.length) {
-        const DecodeShard& s = shards[object_shards[o][next_shard++]];
-        fold.combine(s.crc, s.length);
-        covered += s.length;
-      }
-    }
-    if (fold.value() != objs[o].trailer_crc) {
-      *failed_seq = objs[o].header.sequence;
-      *have_failed_seq = true;
-      return corruption("crc mismatch in " + objs[o].key);
-    }
+  for (const ChunkRead& r : reads) {
+    if (!r.status.is_ok()) return fail(objs[r.obj].header.sequence, r.status);
+    pages_decoded += r.decoded;
   }
-  stitch_timer.stop();
 
   metrics.chains.inc();
   metrics.objects.inc(objs.size());
   metrics.pages_decoded.inc(pages_decoded);
-  metrics.pages_skipped.inc(pages_skipped);
-  metrics.bytes_read.inc(bytes_read);
+  metrics.pages_skipped.inc(total_pages - pages_decoded);
   return state;
 }
 
@@ -834,11 +850,9 @@ Status note_restore_failure(const Status& st, std::uint64_t failed_seq) {
 
 }  // namespace
 
-Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
-                                           const std::string& key) {
-  auto parsed = parse(storage, key);
-  if (!parsed.is_ok()) return parsed.status();
-  return std::move(parsed->state);
+Result<CheckpointFile> read_checkpoint_file(storage::StorageBackend& storage,
+                                            const std::string& key) {
+  return parse(storage, key);
 }
 
 Result<RestoredState> restore_chain(storage::StorageBackend& storage,
@@ -872,103 +886,6 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
   RestoreOptions options;
   options.upto = upto;
   return restore_chain(storage, rank, options);
-}
-
-Result<RestoredState> restore_chain_serial(storage::StorageBackend& storage,
-                                           std::uint32_t rank,
-                                           std::uint64_t upto) {
-  auto keys = storage.list();
-  if (!keys.is_ok()) return keys.status();
-  const std::string prefix = "rank" + std::to_string(rank) + "/";
-  std::vector<std::string> chain_keys;
-  for (const auto& k : *keys) {
-    if (k.rfind(prefix, 0) == 0) chain_keys.push_back(k);
-  }
-  std::sort(chain_keys.begin(), chain_keys.end());
-  if (chain_keys.empty()) {
-    return not_found("no checkpoints for rank " + std::to_string(rank));
-  }
-
-  // Parse everything, then walk backwards to the newest full
-  // checkpoint with sequence <= upto.
-  std::ptrdiff_t start = -1;
-  std::vector<ParsedCheckpoint> parsed_files;
-  parsed_files.reserve(chain_keys.size());
-  for (const auto& k : chain_keys) {
-    auto p = parse(storage, k);
-    if (!p.is_ok()) return p.status();
-    if (p->header.sequence > upto) continue;
-    parsed_files.push_back(std::move(p.value()));
-  }
-  std::sort(parsed_files.begin(), parsed_files.end(),
-            [](const ParsedCheckpoint& a, const ParsedCheckpoint& b) {
-              return a.header.sequence < b.header.sequence;
-            });
-  if (parsed_files.empty()) {
-    return not_found("no checkpoint at or before requested sequence");
-  }
-  for (std::ptrdiff_t i =
-           static_cast<std::ptrdiff_t>(parsed_files.size()) - 1;
-       i >= 0; --i) {
-    if (parsed_files[static_cast<std::size_t>(i)].header.kind ==
-        static_cast<std::uint16_t>(Kind::kFull)) {
-      start = i;
-      break;
-    }
-  }
-  if (start < 0) {
-    return corruption("chain has no full checkpoint to seed recovery");
-  }
-
-  // Seed with the full checkpoint, then overlay each incremental.
-  RestoredState state =
-      std::move(parsed_files[static_cast<std::size_t>(start)].state);
-  std::uint64_t prev_seq =
-      parsed_files[static_cast<std::size_t>(start)].header.sequence;
-  for (std::size_t i = static_cast<std::size_t>(start) + 1;
-       i < parsed_files.size(); ++i) {
-    ParsedCheckpoint& inc = parsed_files[i];
-    // A gap in the chain means lost deltas: refuse to fabricate state.
-    if (inc.header.parent_sequence != prev_seq) {
-      return corruption("chain gap: sequence " +
-                        std::to_string(inc.header.sequence) +
-                        " expects parent " +
-                        std::to_string(inc.header.parent_sequence) +
-                        " but " + std::to_string(prev_seq) +
-                        " is the newest applied");
-    }
-    prev_seq = inc.header.sequence;
-    // Memory exclusion: drop blocks absent from the newer manifest.
-    for (auto it = state.blocks.begin(); it != state.blocks.end();) {
-      if (inc.state.blocks.find(it->first) == inc.state.blocks.end()) {
-        it = state.blocks.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    const std::size_t psize = inc.header.page_size;
-    for (auto& [id, newer] : inc.state.blocks) {
-      auto it = state.blocks.find(id);
-      if (it == state.blocks.end()) {
-        // New block: starts zero-filled with this file's runs applied.
-        state.blocks.emplace(id, std::move(newer));
-        continue;
-      }
-      RestoredBlock& base = it->second;
-      if (base.data.size() != newer.data.size()) {
-        return corruption("block " + std::to_string(id) +
-                          " changed size mid-chain");
-      }
-      for (const RunHeader& run : inc.runs[id]) {
-        std::size_t off = std::size_t{run.first_page} * psize;
-        std::size_t len = std::size_t{run.page_count} * psize;
-        std::memcpy(base.data.data() + off, newer.data.data() + off, len);
-      }
-    }
-    state.sequence = inc.state.sequence;
-    state.virtual_time = inc.state.virtual_time;
-  }
-  return state;
 }
 
 Result<std::map<std::uint32_t, region::BlockId>> materialize(

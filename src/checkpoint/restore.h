@@ -1,22 +1,25 @@
 // Rollback recovery: rebuild a rank's data memory from its checkpoint
 // chain (the newest full checkpoint plus every later incremental).
 //
-// restore_chain runs a two-phase plan-then-decode pipeline:
-//   phase 1 (plan)   — scan only headers and manifests (no page
-//                      payloads): pick the seed full checkpoint,
-//                      validate parent links, and build a newest-wins
-//                      page plan mapping each (block, page) to the one
-//                      object that last wrote it;
-//   phase 2 (decode) — read and decode each surviving page exactly
-//                      once, sharded across a thread pool, writing
-//                      directly into the final RestoredState.  Pages
-//                      superseded by a newer write are CRC-checked but
-//                      never decoded, and peak memory stays
+// restore_chain runs a two-phase plan-then-decode pipeline over the
+// v3 chunk index (format.h):
+//   phase 1 (plan)   — per object, one open and three read_at calls
+//                      (header, trailer, index); the index CRC covers
+//                      the header and the index.  Pick the seed full
+//                      checkpoint, validate parent links, and map each
+//                      surviving (block, page) to the one chunk that
+//                      last wrote it;
+//   phase 2 (decode) — read only the chunks holding such a winning
+//                      page, merged per object into reads of at most
+//                      1 MiB and spread over a thread pool; check each
+//                      chunk's CRC and decode its winning pages straight
+//                      into the final RestoredState.  Superseded chunks
+//                      are never read, and peak memory stays
 //                      O(footprint) instead of O(chain x footprint).
-// Shards hash the byte ranges they read; the stitch step folds shard
-// CRCs with the manifest-scan CRCs via crc32_combine and compares the
-// result against each object's trailer, so integrity coverage equals
-// the serial parser's.
+// Restore verifies every byte it returns, not every byte of the chain:
+// damage confined to superseded chunks does not fail a restore.  The
+// whole-store check is fsck (inspect.h), which parses every object
+// through read_checkpoint_file.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/format.h"
 #include "common/status.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
@@ -57,10 +61,19 @@ struct RestoreOptions {
   int decode_threads = 0;
 };
 
-/// Parse and validate one checkpoint object (header, structure, CRC).
-/// Returns kCorruption on any integrity violation.
-Result<RestoredState> read_checkpoint_file(storage::StorageBackend& storage,
-                                           const std::string& key);
+/// One checkpoint object, parsed on its own.
+struct CheckpointFile {
+  FileHeader header;
+  RestoredState state;  ///< blocks with only this object's runs applied
+  std::map<std::uint32_t, std::vector<RunHeader>> runs;  ///< per block
+};
+
+/// Parse and validate one checkpoint object in one sequential pass:
+/// structure, whole-object CRC, and an index identical to the one the
+/// body implies (manifest, run tables, offset, every chunk's length and
+/// CRC).  Returns kCorruption on any integrity violation.
+Result<CheckpointFile> read_checkpoint_file(storage::StorageBackend& storage,
+                                            const std::string& key);
 
 /// Rebuild rank state from its chain: locate the newest full
 /// checkpoint with sequence <= `options.upto`, then apply the later
@@ -75,14 +88,6 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
 Result<RestoredState> restore_chain(storage::StorageBackend& storage,
                                     std::uint32_t rank,
                                     std::uint64_t upto = UINT64_MAX);
-
-/// Reference implementation: the pre-pipeline serial restorer, which
-/// fully parses every object and overlays them in memory.  Kept as the
-/// byte-identity oracle for tests and bench/ablation_restore; new code
-/// should call restore_chain.
-Result<RestoredState> restore_chain_serial(storage::StorageBackend& storage,
-                                           std::uint32_t rank,
-                                           std::uint64_t upto = UINT64_MAX);
 
 /// Materialize a restored state into a fresh AddressSpace; returns the
 /// mapping from checkpointed block ids to new block ids (ascending by

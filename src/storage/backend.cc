@@ -1,6 +1,7 @@
 #include "storage/backend.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -156,37 +156,42 @@ class FileWriter final : public Writer {
   std::atomic<std::uint64_t>* total_;
 };
 
+/// Reads with pread(2) only: read() advances the reader's own cursor,
+/// read_at() leaves it where it is.
 class FileReader final : public Reader {
  public:
-  FileReader(std::ifstream is, std::uint64_t size)
-      : is_(std::move(is)), size_(size) {}
+  FileReader(int fd, std::uint64_t size) : fd_(fd), size_(size) {}
+  ~FileReader() override { ::close(fd_); }
+
+  FileReader(const FileReader&) = delete;
+  FileReader& operator=(const FileReader&) = delete;
 
   Result<std::size_t> read(std::span<std::byte> out) override {
-    is_.read(reinterpret_cast<char*>(out.data()),
-             static_cast<std::streamsize>(out.size()));
-    auto got = static_cast<std::size_t>(is_.gcount());
-    if (got == 0 && !is_.eof()) return io_error("file read failed");
+    ICKPT_ASSIGN_OR_RETURN(got, read_at(pos_, out));
+    pos_ += got;
     return got;
   }
   bool supports_read_at() const noexcept override { return true; }
   Result<std::size_t> read_at(std::uint64_t offset,
                               std::span<std::byte> out) override {
     if (offset >= size_) return std::size_t{0};
-    is_.clear();
-    is_.seekg(static_cast<std::streamoff>(offset));
-    if (!is_) return io_error("file seek failed");
-    is_.read(reinterpret_cast<char*>(out.data()),
-             static_cast<std::streamsize>(out.size()));
-    auto got = static_cast<std::size_t>(is_.gcount());
-    if (got == 0 && !is_.eof()) return io_error("file read failed");
-    return got;
+    for (;;) {
+      const ssize_t n = ::pread(fd_, out.data(), out.size(),
+                                static_cast<off_t>(offset));
+      if (n >= 0) return static_cast<std::size_t>(n);
+      if (errno != EINTR) {
+        return io_error(std::string("file read failed: ") +
+                        std::strerror(errno));
+      }
+    }
   }
 
   std::uint64_t size() const noexcept override { return size_; }
 
  private:
-  std::ifstream is_;
+  int fd_;
   std::uint64_t size_;
+  std::uint64_t pos_ = 0;
 };
 
 class FileBackend final : public StorageBackend {
@@ -209,17 +214,25 @@ class FileBackend final : public StorageBackend {
 
   /// Only published regular files are objects: a key naming a directory
   /// (".", or a prefix like "rank0") or a ".tmp" sibling is kNotFound,
-  /// as is an object removed between the size check and the open.
-  /// Never throws.
+  /// as is a missing one.  One open(2) and one fstat(2); never throws.
   Result<std::unique_ptr<Reader>> open(const std::string& key) override {
+    if (is_tmp_name(key)) return not_found("no such object: " + key);
     const fs::path p = dir_ / key;
-    std::error_code ec;
-    if (!is_object(key, p)) return not_found("no such object: " + key);
-    const std::uint64_t size = fs::file_size(p, ec);
-    if (ec) return not_found("no such object: " + key);
-    std::ifstream is(p, std::ios::binary);
-    if (!is.is_open()) return not_found("no such object: " + key);
-    return std::unique_ptr<Reader>(new FileReader(std::move(is), size));
+    const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOENT || errno == ENOTDIR) {
+        return not_found("no such object: " + key);
+      }
+      return io_error("open failed: " + p.string() + ": " +
+                      std::strerror(errno));
+    }
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+      ::close(fd);
+      return not_found("no such object: " + key);
+    }
+    return std::unique_ptr<Reader>(
+        new FileReader(fd, static_cast<std::uint64_t>(st.st_size)));
   }
 
   Status remove(const std::string& key) override {

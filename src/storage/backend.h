@@ -36,9 +36,9 @@ class Writer {
 };
 
 /// Sequential reader for one object.  Backends that can serve byte
-/// ranges also implement read_at(), which the parallel restore path
-/// uses to read each decode shard's byte range into a shard buffer
-/// without streaming the whole object.
+/// ranges also implement read_at(), which restore uses to read an
+/// object's header, index and chosen chunks without streaming the
+/// whole object.
 class Reader {
  public:
   virtual ~Reader() = default;
@@ -50,9 +50,8 @@ class Reader {
   virtual bool supports_read_at() const noexcept { return false; }
 
   /// Reads up to out.size() bytes starting at `offset`; returns the
-  /// count (0 when offset is at or past EOF).  May reposition the
-  /// sequential cursor — callers must not interleave read() and
-  /// read_at() on the same reader.
+  /// count (0 when offset is at or past EOF).  Leaves the sequential
+  /// cursor of read() where it was.
   virtual Result<std::size_t> read_at(std::uint64_t offset,
                                       std::span<std::byte> out) {
     (void)offset;

@@ -14,6 +14,7 @@
 #include "memtrack/explicit_engine.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "tests/support/serial_restore.h"
 
 namespace ickpt::checkpoint {
 namespace {

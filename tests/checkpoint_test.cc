@@ -6,6 +6,7 @@
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/restore.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "memtrack/explicit_engine.h"
 #include "region/address_space.h"
@@ -442,8 +443,8 @@ TEST_F(CheckpointTest, CreatedCheckpointerWorks) {
 
 class CorruptionTest : public CheckpointTest {
  protected:
-  /// Write a checkpoint, then return a mutated copy under a new key.
-  std::string corrupt_copy(std::size_t flip_offset) {
+  /// Write a full checkpoint of one patterned block; returns its bytes.
+  std::vector<std::byte> full_checkpoint_bytes() {
     auto a = space_.map(2 * page_size(), AreaKind::kHeap, "a");
     EXPECT_TRUE(a.is_ok());
     fill_pattern(a->mem, 1);
@@ -460,13 +461,23 @@ class CorruptionTest : public CheckpointTest {
       if (*got == 0) break;
       off += *got;
     }
-    if (flip_offset < data.size()) {
-      data[flip_offset] ^= std::byte{0xFF};
-    }
-    auto w = storage_->create("corrupt");
+    return data;
+  }
+
+  void write_object(const std::string& key, std::span<const std::byte> data) {
+    auto w = storage_->create(key);
     EXPECT_TRUE(w.is_ok());
     EXPECT_TRUE((*w)->write(data).is_ok());
     EXPECT_TRUE((*w)->close().is_ok());
+  }
+
+  /// Write a checkpoint, then return a mutated copy under a new key.
+  std::string corrupt_copy(std::size_t flip_offset) {
+    auto data = full_checkpoint_bytes();
+    if (flip_offset < data.size()) {
+      data[flip_offset] ^= std::byte{0xFF};
+    }
+    write_object("corrupt", data);
     return "corrupt";
   }
 };
@@ -501,6 +512,33 @@ TEST_F(CorruptionTest, TruncatedFileDetected) {
 
   auto state = read_checkpoint_file(*storage_, "truncated");
   EXPECT_EQ(state.status().code(), ErrorCode::kCorruption);
+}
+
+TEST_F(CorruptionTest, VersionTwoObjectIsUnsupported) {
+  // The same body as a v2 writer laid it out: no index, and the v2
+  // trailer {crc32 over header and body, end magic}.
+  auto data = full_checkpoint_bytes();
+  FileTrailer trailer;
+  std::memcpy(&trailer, data.data() + data.size() - sizeof trailer,
+              sizeof trailer);
+  data.resize(trailer.index_offset);
+  FileHeader header;
+  std::memcpy(&header, data.data(), sizeof header);
+  header.version = 2;
+  std::memcpy(data.data(), &header, sizeof header);
+  const std::uint32_t v2_trailer[2] = {crc32(data), kEndMagic};
+  const auto* tail = reinterpret_cast<const std::byte*>(v2_trailer);
+  data.insert(data.end(), tail, tail + sizeof v2_trailer);
+  write_object(checkpoint_key(0, 0), data);
+
+  auto file = read_checkpoint_file(*storage_, checkpoint_key(0, 0));
+  EXPECT_EQ(file.status().code(), ErrorCode::kUnsupported);
+  EXPECT_NE(file.status().message().find("unknown checkpoint version"),
+            std::string::npos);
+  auto state = restore_chain(*storage_, 0);
+  EXPECT_EQ(state.status().code(), ErrorCode::kUnsupported);
+  EXPECT_NE(state.status().message().find("unknown checkpoint version"),
+            std::string::npos);
 }
 
 TEST_F(CorruptionTest, ValidFileParsesCleanly) {

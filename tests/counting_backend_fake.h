@@ -1,0 +1,74 @@
+// Test fake: a pass-through storage decorator that counts the opens
+// it serves and the bytes its readers return from read() and
+// read_at().  Lets tests hold restore's own counters and its open
+// budget to what the store actually served.
+#pragma once
+
+#include <atomic>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "storage/backend.h"
+
+namespace ickpt::storage {
+
+class CountingBackend : public StorageBackend {
+ public:
+  explicit CountingBackend(StorageBackend& inner) : inner_(inner) {}
+
+  Result<std::unique_ptr<Writer>> create(const std::string& key) override {
+    return inner_.create(key);
+  }
+  Result<std::unique_ptr<Reader>> open(const std::string& key) override {
+    auto r = inner_.open(key);
+    if (!r.is_ok()) return r.status();
+    opens_.fetch_add(1, std::memory_order_relaxed);
+    return {std::unique_ptr<Reader>(
+        new CountingReader(std::move(*r), bytes_served_))};
+  }
+  Status remove(const std::string& key) override { return inner_.remove(key); }
+  Result<std::vector<std::string>> list() override { return inner_.list(); }
+  bool exists(const std::string& key) override { return inner_.exists(key); }
+  std::uint64_t total_bytes_stored() const noexcept override {
+    return inner_.total_bytes_stored();
+  }
+
+  std::uint64_t opens() const noexcept { return opens_.load(); }
+  std::uint64_t bytes_served() const noexcept { return bytes_served_.load(); }
+
+ private:
+  class CountingReader : public Reader {
+   public:
+    CountingReader(std::unique_ptr<Reader> inner,
+                   std::atomic<std::uint64_t>& served)
+        : inner_(std::move(inner)), served_(served) {}
+    Result<std::size_t> read(std::span<std::byte> out) override {
+      return count(inner_->read(out));
+    }
+    bool supports_read_at() const noexcept override {
+      return inner_->supports_read_at();
+    }
+    Result<std::size_t> read_at(std::uint64_t offset,
+                                std::span<std::byte> out) override {
+      return count(inner_->read_at(offset, out));
+    }
+    std::uint64_t size() const noexcept override { return inner_->size(); }
+
+   private:
+    Result<std::size_t> count(Result<std::size_t> got) {
+      if (got.is_ok()) served_.fetch_add(*got, std::memory_order_relaxed);
+      return got;
+    }
+
+    std::unique_ptr<Reader> inner_;
+    std::atomic<std::uint64_t>& served_;
+  };
+
+  StorageBackend& inner_;
+  std::atomic<std::uint64_t> opens_{0};
+  std::atomic<std::uint64_t> bytes_served_{0};
+};
+
+}  // namespace ickpt::storage

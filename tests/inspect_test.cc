@@ -7,6 +7,7 @@
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/coordinated.h"
+#include "checkpoint/format.h"
 #include "common/rng.h"
 #include "memtrack/explicit_engine.h"
 #include "minimpi/comm.h"
@@ -111,6 +112,45 @@ TEST_F(InspectTest, CorruptedElementIsFlagged) {
   // dangles, and restore (which walks through it) must fail too, so
   // the report lists both findings.
   EXPECT_GE(report->problems.size(), 1u);
+}
+
+// Restore reads only the chunks holding pages it returns; fsck reads
+// every byte.  Damage in a chunk every page of which a later
+// incremental rewrote leaves the chain restorable, but not healthy.
+TEST_F(InspectTest, DamageRestoreNeverReadsIsStillFlagged) {
+  auto block = space_.map(4 * page_size(), AreaKind::kHeap, "s");
+  ASSERT_TRUE(block.is_ok());
+  std::memset(block->mem.data(), 0x11, block->mem.size());
+  auto full = ckpt_->checkpoint_full(0.0);
+  ASSERT_TRUE(full.is_ok());
+  ASSERT_TRUE(engine_.arm().is_ok());
+  std::memset(block->mem.data(), 0x22, block->mem.size());
+  engine_.note_write(block->mem.data(), block->mem.size());
+  auto snap = engine_.collect(true);
+  ASSERT_TRUE(snap.is_ok());
+  ASSERT_TRUE(ckpt_->checkpoint_incremental(*snap, 1.0).is_ok());
+
+  // Flip the last byte of the full checkpoint's last page payload.
+  auto reader = storage_->open(full->key);
+  ASSERT_TRUE(reader.is_ok());
+  std::vector<std::byte> data((*reader)->size());
+  ASSERT_TRUE((*reader)->read_at(0, data).is_ok());
+  FileTrailer trailer;
+  std::memcpy(&trailer, data.data() + data.size() - sizeof trailer,
+              sizeof trailer);
+  data[trailer.index_offset - 1] ^= std::byte{0xFF};
+  auto w = storage_->create(full->key);
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(data).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+
+  auto report = inspect_chain(*storage_, 0);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_TRUE(report->recoverable);
+  EXPECT_EQ(report->recoverable_upto, 1u);
+  ASSERT_FALSE(report->healthy());
+  EXPECT_NE(report->problems.front().find(full->key), std::string::npos)
+      << report->problems.front();
 }
 
 TEST_F(InspectTest, MissingMiddleElementBreaksParentLink) {

@@ -231,7 +231,11 @@ TEST_F(NetRemoteTest, RestoreToleratesDamageTheSameWayOverTheNetwork) {
   ASSERT_FALSE(chain_keys.empty());
   const std::string victim = chain_keys.back();
   auto data = read_object(*served_, victim);
-  data[data.size() / 2] ^= std::byte{0xFF};
+  // Flip a byte of the last page payload, which the newest state needs.
+  FileTrailer trailer;
+  std::memcpy(&trailer, data.data() + data.size() - sizeof trailer,
+              sizeof trailer);
+  data[trailer.index_offset - 8] ^= std::byte{0xFF};
   auto writer = served_->create(victim);
   ASSERT_TRUE(writer.is_ok());
   ASSERT_TRUE((*writer)->write(data).is_ok());

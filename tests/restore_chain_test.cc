@@ -1,12 +1,14 @@
 // The plan-then-decode restore pipeline: parallel-vs-serial byte
 // identity, upto filtering, gap and corruption handling (strict and
 // truncated-tail), memory exclusion across long chains, decode-once
-// accounting, numeric sequence ordering at the key-pad boundary, and
-// store repair.
+// accounting, what restore reads from a v3 object (winning chunks
+// only, every byte of them verified), numeric sequence ordering at the
+// key-pad boundary, and store repair.
 #include "checkpoint/restore.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 
 #include "checkpoint/checkpointer.h"
@@ -19,6 +21,8 @@
 #include "region/address_space.h"
 #include "storage/backend.h"
 #include "tests/chunked_backend_fake.h"
+#include "tests/counting_backend_fake.h"
+#include "tests/support/serial_restore.h"
 
 namespace ickpt::checkpoint {
 namespace {
@@ -52,6 +56,30 @@ void expect_states_identical(const RestoredState& a, const RestoredState& b) {
               0)
         << "content mismatch in block " << ia->first;
   }
+}
+
+FileTrailer trailer_of(const std::vector<std::byte>& data) {
+  FileTrailer t;
+  std::memcpy(&t, data.data() + data.size() - sizeof t, sizeof t);
+  return t;
+}
+
+/// Offset and length of chunk `c` of an object that holds one block
+/// with one run, from its index.
+std::pair<std::size_t, std::size_t> single_run_chunk(
+    const std::vector<std::byte>& data, std::size_t c) {
+  const std::uint64_t index_offset = trailer_of(data).index_offset;
+  BlockHeader bh;
+  std::memcpy(&bh, data.data() + index_offset, sizeof bh);
+  const std::size_t lead = sizeof bh + bh.name_len + sizeof(RunHeader);
+  std::size_t offset = sizeof(FileHeader) + lead;
+  ChunkEntry e;
+  for (std::size_t i = 0; i <= c; ++i) {
+    std::memcpy(&e, data.data() + index_offset + lead + i * sizeof e,
+                sizeof e);
+    if (i < c) offset += e.length;
+  }
+  return {offset, e.length};
 }
 
 class RestoreChainTest : public ::testing::Test {
@@ -108,11 +136,12 @@ class RestoreChainTest : public ::testing::Test {
   }
 
   /// Flip one byte inside the last page payload (just ahead of the
-  /// trailer), which a restore that needs this object must detect.
+  /// index), which a restore that needs this object must detect.
   void corrupt_payload(const std::string& key) {
     auto data = read_object(key);
-    ASSERT_GT(data.size(), sizeof(FileTrailer) + 16);
-    data[data.size() - sizeof(FileTrailer) - 8] ^= std::byte{0xFF};
+    const std::uint64_t index_offset = trailer_of(data).index_offset;
+    ASSERT_GT(index_offset, sizeof(FileHeader) + 16);
+    data[index_offset - 8] ^= std::byte{0xFF};
     write_object(key, data);
   }
 
@@ -136,6 +165,30 @@ class RestoreChainTest : public ::testing::Test {
       incremental(static_cast<double>(i));
     }
     return a;
+  }
+
+  /// 32-page block "a": a full checkpoint at 0 (chunks [0,16) and
+  /// [16,32)), then incrementals rewriting pages 0..15 at 1 and 2 and
+  /// pages 16..19 at 3.  The full's first chunk and all of 1 are
+  /// superseded; 2, 3 and the full's second chunk hold the winners.
+  void build_chunked_chain() {
+    auto a = add_block(32, "a", 1);
+    ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+    ASSERT_TRUE(engine_.arm().is_ok());
+    for (std::uint64_t i = 1; i <= 2; ++i) {
+      for (std::size_t p = 0; p < 16; ++p) touch(a, p, 100 * i + p);
+      incremental(static_cast<double>(i));
+    }
+    for (std::size_t p = 16; p < 20; ++p) touch(a, p, 300 + p);
+    incremental(3.0);
+  }
+
+  /// Flip one byte in the middle of chunk `c` of `key`.
+  void corrupt_chunk(const std::string& key, std::size_t c) {
+    auto data = read_object(key);
+    auto [offset, length] = single_run_chunk(data, c);
+    data[offset + length / 2] ^= std::byte{0xFF};
+    write_object(key, data);
   }
 
   ExplicitEngine engine_;
@@ -337,7 +390,8 @@ TEST_F(RestoreChainTest, DecodesEachSurvivingPageExactlyOnce) {
 
   // The final footprint is one 8-page block: exactly 8 page decodes no
   // matter how often the chain rewrote them; every superseded write is
-  // skipped (CRC-checked but never decoded).
+  // skipped (never decoded, and never read unless it shares a chunk
+  // with a winner).
   EXPECT_EQ(decoded.value() - d0, 8u);
   EXPECT_EQ(skipped.value() - s0, 8u + 6u * 2u - 8u);
 }
@@ -359,9 +413,145 @@ TEST_F(RestoreChainTest, ShortReadingBackendRestores) {
   }
 }
 
+// --- What restore reads (format v3) ---------------------------------
+
+TEST_F(RestoreChainTest, BytesReadAndOpensMatchWhatTheStoreServed) {
+  build_chain(6);  // the six incrementals rewrite all 8 pages of the full
+  auto& bytes_read = obs::registry().counter("restore.bytes_read");
+  constexpr std::uint64_t kObjects = 7;
+  for (int threads : {1, 4}) {
+    storage::CountingBackend counting(*storage_);
+    const std::uint64_t before = bytes_read.value();
+    RestoreOptions opts;
+    opts.decode_threads = threads;
+    auto state = restore_chain(counting, 0, opts);
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    EXPECT_EQ(bytes_read.value() - before, counting.bytes_served())
+        << "threads " << threads;
+    EXPECT_LE(counting.opens(),
+              kObjects * static_cast<std::uint64_t>(threads + 1))
+        << "threads " << threads;
+    // The full checkpoint's only chunk is superseded page by page, so
+    // none of its page bytes are read.
+    EXPECT_LE(counting.bytes_served() + 8 * page_size(),
+              storage_->total_bytes_stored())
+        << "threads " << threads;
+  }
+}
+
+TEST_F(RestoreChainTest, DamagedWinningChunkFailsStrictTruncatesTolerant) {
+  build_chunked_chain();
+  auto reference = restore_chain_serial(*storage_, 0, 1);
+  ASSERT_TRUE(reference.is_ok());
+  const std::string key = checkpoint_key(0, 2);
+  corrupt_chunk(key, 0);
+
+  auto strict = restore_chain(*storage_, 0);
+  ASSERT_FALSE(strict.is_ok());
+  EXPECT_EQ(strict.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(strict.status().message().find(key), std::string::npos)
+      << strict.status().to_string();
+
+  RestoreOptions opts;
+  opts.allow_truncated_tail = true;
+  auto state = restore_chain(*storage_, 0, opts);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  expect_states_identical(*reference, *state);
+}
+
+TEST_F(RestoreChainTest, DamagedSupersededChunkIsLeftToFsck) {
+  build_chunked_chain();
+  auto reference = restore_chain_serial(*storage_, 0);
+  auto reference_at_0 = restore_chain_serial(*storage_, 0, 0);
+  ASSERT_TRUE(reference.is_ok() && reference_at_0.is_ok());
+  const std::string key = checkpoint_key(0, 1);
+  corrupt_chunk(key, 0);
+
+  // Restore never reads the superseded chunk: the newest state, intact.
+  for (int threads : {1, 4}) {
+    RestoreOptions opts;
+    opts.decode_threads = threads;
+    auto state = restore_chain(*storage_, 0, opts);
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    expect_states_identical(*reference, *state);
+  }
+
+  // fsck reads every byte and names the object.
+  auto report = inspect_store(*storage_);
+  ASSERT_TRUE(report.is_ok());
+  EXPECT_FALSE(report->healthy());
+  bool named = false;
+  for (const auto& p : report->chains.at(0).problems) {
+    named = named || p.find(key) != std::string::npos;
+  }
+  EXPECT_TRUE(named);
+
+  // One repair pass cuts the chain below the damaged live object ...
+  auto rep = repair_store(*storage_);
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  EXPECT_TRUE(rep->clean());
+  EXPECT_EQ(rep->recovered_upto[0], 0u);
+  EXPECT_EQ(rep->dropped.size(), 3u);
+  auto after = inspect_store(*storage_);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_TRUE(after->healthy());
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  expect_states_identical(*reference_at_0, *state);
+
+  // ... and a second pass drops nothing.
+  auto again = repair_store(*storage_);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_TRUE(again->dropped.empty());
+}
+
+TEST_F(RestoreChainTest, DamagedHeaderOrIndexFailsRestoreAndFsck) {
+  build_chunked_chain();
+  const std::string key = checkpoint_key(0, 3);
+  const auto clean = read_object(key);
+  const FileTrailer t = trailer_of(clean);
+  std::vector<std::size_t> offsets;
+  for (std::size_t i = 0; i < sizeof(FileHeader); ++i) {
+    // A flipped version is an unknown version (kUnsupported).
+    if (i / 2 == offsetof(FileHeader, version) / 2) continue;
+    offsets.push_back(i);
+  }
+  for (std::size_t i = t.index_offset; i < clean.size() - sizeof t; ++i) {
+    offsets.push_back(i);
+  }
+  for (std::size_t i : offsets) {
+    auto data = clean;
+    data[i] ^= std::byte{0x01};
+    write_object(key, data);
+    auto state = restore_chain(*storage_, 0);
+    ASSERT_FALSE(state.is_ok()) << "byte " << i;
+    EXPECT_EQ(state.status().code(), ErrorCode::kCorruption) << "byte " << i;
+    EXPECT_EQ(read_checkpoint_file(*storage_, key).status().code(),
+              ErrorCode::kCorruption)
+        << "byte " << i;
+  }
+}
+
+TEST_F(RestoreChainTest, TornIndexReadsAsTornNeverAsShorterObject) {
+  build_chunked_chain();
+  const std::string key = checkpoint_key(0, 3);
+  const auto clean = read_object(key);
+  for (std::size_t len = trailer_of(clean).index_offset; len < clean.size();
+       ++len) {
+    write_object(key, {clean.data(), len});
+    auto state = restore_chain(*storage_, 0);
+    ASSERT_FALSE(state.is_ok()) << "cut at " << len;
+    EXPECT_EQ(state.status().code(), ErrorCode::kCorruption)
+        << "cut at " << len;
+    EXPECT_EQ(read_checkpoint_file(*storage_, key).status().code(),
+              ErrorCode::kCorruption)
+        << "cut at " << len;
+  }
+}
+
 // --- Sequence ordering at the key zero-pad boundary -----------------
 
-/// Rewrite header sequence/parent and re-seal the trailer CRC.
+/// Rewrite header sequence/parent and re-seal both trailer CRCs.
 void patch_sequences(std::vector<std::byte>& data, std::uint64_t seq,
                      std::uint64_t parent) {
   FileHeader h;
@@ -369,10 +559,14 @@ void patch_sequences(std::vector<std::byte>& data, std::uint64_t seq,
   h.sequence = seq;
   h.parent_sequence = parent;
   std::memcpy(data.data(), &h, sizeof h);
-  FileTrailer t;
-  std::memcpy(&t, data.data() + data.size() - sizeof t, sizeof t);
-  t.crc32 = crc32({data.data(), data.size() - sizeof t});
-  std::memcpy(data.data() + data.size() - sizeof t, &t, sizeof t);
+  FileTrailer t = trailer_of(data);
+  const std::size_t index_end = data.size() - sizeof t;
+  Crc32 index_crc;
+  index_crc.update(&h, sizeof h);
+  index_crc.update(data.data() + t.index_offset, index_end - t.index_offset);
+  t.index_crc = index_crc.value();
+  t.crc32 = crc32({data.data(), index_end});
+  std::memcpy(data.data() + index_end, &t, sizeof t);
 }
 
 TEST_F(RestoreChainTest, RestoresChainsPastTheOldPadBoundary) {

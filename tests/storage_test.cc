@@ -163,6 +163,32 @@ TEST_P(BackendParamTest, TmpSuffixedKeyIsRefusedOrPublished) {
   EXPECT_EQ(read_all(*backend_, "rank0/x.tmp"), "staged");
 }
 
+TEST_P(BackendParamTest, ReadAtLeavesTheSequentialCursor) {
+  std::string content(200, '\0');
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<char>(i);
+  }
+  auto w = backend_->create("obj");
+  ASSERT_TRUE(w.is_ok());
+  ASSERT_TRUE((*w)->write(as_bytes(content)).is_ok());
+  ASSERT_TRUE((*w)->close().is_ok());
+
+  auto reader = backend_->open("obj");
+  ASSERT_TRUE(reader.is_ok());
+  std::byte buf[10];
+  auto got = (*reader)->read(buf);
+  ASSERT_TRUE(got.is_ok());
+  ASSERT_EQ(*got, 10u);
+  got = (*reader)->read_at(100, buf);
+  ASSERT_TRUE(got.is_ok());
+  ASSERT_EQ(*got, 10u);
+  EXPECT_EQ(buf[0], std::byte{100});
+  got = (*reader)->read(buf);
+  ASSERT_TRUE(got.is_ok());
+  ASSERT_EQ(*got, 10u);
+  EXPECT_EQ(buf[0], std::byte{10}) << "read() resumed at the read_at offset";
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParamTest,
                          ::testing::Values("file", "memory", "segment"),
                          [](const auto& info) { return info.param; });

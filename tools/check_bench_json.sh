@@ -88,12 +88,25 @@ for f in "$@"; do
       continue
     fi
   fi
-  # X9 (bench "restore") must carry the file and segment chain arms.
+  # X9 (bench "restore") must carry the file and segment chain arms,
+  # and where it has the 1+0 chain (not in quick mode), the planned
+  # restore on one thread must be no slower than the serial parser:
+  # with nothing superseded, planning must cost nothing.
   if [ "$(jq -r '.bench' "$f")" = "restore" ]; then
     if ! jq -e '[.arms[].name] |
         (any(startswith("file_chain"))) and
         (any(startswith("segment_chain")))' "$f" > /dev/null; then
       echo "FAIL $f: restore bench missing on-disk chain arms" >&2
+      status=1
+      continue
+    fi
+    if ! jq -e '
+        ([.arms[] | select(.name == "chain1+0_serial")] | first) as $s |
+        ([.arms[] | select(.name == "chain1+0_planned_1t")] | first) as $p |
+        ($s == null and $p == null) or
+        ($s != null and $p != null and $p.wall_s <= $s.wall_s)
+        ' "$f" > /dev/null; then
+      echo "FAIL $f: chain1+0_planned_1t slower than chain1+0_serial" >&2
       status=1
       continue
     fi
