@@ -1,11 +1,10 @@
 // Ablation X1: dirty-tracking engine comparison.
 //
 // The paper's mechanism (mprotect + SIGSEGV) pays one fault per first
-// write to a page per timeslice; the modern soft-dirty engine pays an
-// O(pages) pagemap scan per collection instead.  Fault batching
-// (unprotecting N pages per fault) trades IWS over-approximation for
-// fewer faults.  This bench measures all of it on one deterministic
-// workload.
+// write to a page per timeslice.  Fault batching (unprotecting N pages
+// per fault) trades IWS over-approximation for fewer faults; the
+// explicit engine is the fault-free oracle.  This bench measures all
+// of it on one deterministic workload.
 #include "bench/bench_util.h"
 
 #include <chrono>
@@ -13,8 +12,6 @@
 #include "common/arena.h"
 #include "common/rng.h"
 #include "memtrack/mprotect_engine.h"
-#include "memtrack/softdirty_engine.h"
-#include "memtrack/uffd_engine.h"
 #include "memtrack/tracker.h"
 
 using namespace ickpt;
@@ -70,15 +67,13 @@ int main() {
   TextTable table("Ablation X1 - engine cost on identical workload (" +
                   std::to_string(pages) + " pages x " +
                   std::to_string(intervals) + " intervals)");
-  table.set_header({"Engine", "Wall (s)", "IWS pages (sum)", "Faults",
-                    "Pagemap entries"});
+  table.set_header({"Engine", "Wall (s)", "IWS pages (sum)", "Faults"});
 
   auto row = [&](const std::string& label, DirtyTracker& tracker) {
     auto r = run_workload(tracker, pages, intervals, writes_per);
     table.add_row({label, TextTable::num(r.wall_seconds, 3),
                    std::to_string(r.iws_pages_total),
-                   std::to_string(r.counters.faults_handled),
-                   std::to_string(r.counters.pages_scanned)});
+                   std::to_string(r.counters.faults_handled)});
   };
 
   {
@@ -90,20 +85,6 @@ int main() {
     opts.fault_batch_pages = batch;
     MProtectEngine engine(opts);
     row("mprotect (batch=" + std::to_string(batch) + ")", engine);
-  }
-  if (soft_dirty_supported()) {
-    auto engine = SoftDirtyEngine::create();
-    if (engine.is_ok()) row("soft-dirty (CRIU-style)", **engine);
-  } else {
-    table.add_row({"soft-dirty (CRIU-style)", "unsupported kernel", "-",
-                   "-", "-"});
-  }
-  if (uffd_supported()) {
-    auto engine = UffdEngine::create();
-    if (engine.is_ok()) row("userfaultfd-wp (modern)", **engine);
-  } else {
-    table.add_row({"userfaultfd-wp (modern)", "unsupported kernel", "-",
-                   "-", "-"});
   }
   {
     auto engine = make_tracker(EngineKind::kExplicit);

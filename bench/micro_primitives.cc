@@ -11,7 +11,6 @@
 #include "common/units.h"
 #include "memtrack/bitmap.h"
 #include "memtrack/mprotect_engine.h"
-#include "memtrack/uffd_engine.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
 
@@ -69,39 +68,6 @@ void BM_WriteFault(benchmark::State& state) {
   if (armed) (void)engine.collect(false);
 }
 BENCHMARK(BM_WriteFault);
-
-/// Cost of one absorbed write fault via userfaultfd-wp (poller thread
-/// round trip) — the modern engine's counterpart of BM_WriteFault.
-void BM_WriteFaultUffd(benchmark::State& state) {
-  if (!memtrack::uffd_supported()) {
-    state.SkipWithError("userfaultfd-wp unsupported");
-    return;
-  }
-  const std::size_t pages = 4096;
-  PageArena arena(pages * page_size());
-  arena.prefault();
-  auto engine = memtrack::UffdEngine::create();
-  if (!engine.is_ok()) {
-    state.SkipWithError("uffd engine creation failed");
-    return;
-  }
-  auto id = (*engine)->attach(arena.span(), "bm");
-  if (!id.is_ok()) state.SkipWithError("attach failed");
-  std::size_t page = 0;
-  bool armed = false;
-  for (auto _ : state) {
-    if (page == 0) {
-      state.PauseTiming();
-      if (!(*engine)->arm().is_ok()) state.SkipWithError("arm failed");
-      armed = true;
-      state.ResumeTiming();
-    }
-    arena.data()[page * page_size()] = std::byte{1};
-    page = (page + 1) % pages;
-  }
-  if (armed) (void)(*engine)->collect(false);
-}
-BENCHMARK(BM_WriteFaultUffd);
 
 /// Unprotected write to the same memory: the no-tracking baseline.
 void BM_WriteNoTracking(benchmark::State& state) {

@@ -7,8 +7,6 @@
 // position of each engine we built.
 #include "bench/bench_util.h"
 
-#include "memtrack/tracker.h"
-
 using namespace ickpt;
 using namespace ickpt::bench;
 
@@ -30,17 +28,11 @@ int main() {
   finish(table, "table1_design_space.csv");
 
   TextTable ours("Where this repository's engines sit");
-  ours.set_header({"Engine", "Level", "Available here"});
+  ours.set_header({"Engine", "Level"});
   ours.add_row({"mprotect + SIGSEGV (paper's mechanism)",
-                "run-time library over OS paging", "yes"});
-  ours.add_row({"userfaultfd write-protect",
-                "operating system (delegated faults)",
-                memtrack::uffd_supported() ? "yes" : "no (kernel)"});
-  ours.add_row({"soft-dirty pagemap (CRIU-style)",
-                "operating system (page-table bits)",
-                memtrack::soft_dirty_supported() ? "yes" : "no (kernel)"});
+                "run-time library over OS paging"});
   ours.add_row({"explicit notification",
-                "application with library support", "yes"});
+                "application with library support"});
   ours.print(std::cout);
 
   std::cout << "the paper's position: OS-level page-granular tracking "

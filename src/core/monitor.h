@@ -31,8 +31,7 @@ struct MonitorOptions {
 
 class Monitor {
  public:
-  /// Fails if the requested engine is unavailable (e.g. soft-dirty on
-  /// kernels without CONFIG_MEM_SOFT_DIRTY).
+  /// Fails if the timeslice is not positive.
   static Result<std::unique_ptr<Monitor>> create(MonitorOptions options);
 
   ~Monitor();

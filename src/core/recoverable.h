@@ -45,7 +45,8 @@ class RecoverableRun {
     bool allow_truncated_tail = true;
   };
 
-  /// Fails if the requested engine is unavailable.
+  /// Fails if checkpoint_every < 1 or the checkpointer options are
+  /// invalid.
   static Result<std::unique_ptr<RecoverableRun>> create(
       storage::StorageBackend& backend, Options options);
 

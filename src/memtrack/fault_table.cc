@@ -32,8 +32,13 @@ constexpr std::uint64_t kFaultSampleMask = 63;
 std::atomic<std::uint64_t> g_fault_sample{0};
 
 void segv_handler(int sig, siginfo_t* info, void* uctx) {
-  auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
-  if (FaultTable::instance().handle_fault(addr)) return;
+  // Only a permission fault can be a write to a protected tracked page;
+  // a store to unmapped memory (SEGV_MAPERR) is a genuine crash.
+  if (info->si_code == SEGV_ACCERR &&
+      FaultTable::instance().handle_fault(
+          reinterpret_cast<std::uintptr_t>(info->si_addr))) {
+    return;
+  }
 
   // Not a tracked page: forward to the previous handler or re-raise
   // with default disposition so genuine crashes still crash.
@@ -133,17 +138,6 @@ void FaultTable::set_armed(int slot, bool armed) {
   slots_[slot].armed.store(armed, std::memory_order_release);
 }
 
-void FaultTable::update_range(int slot, std::uintptr_t begin,
-                              std::uintptr_t end) {
-  if (slot < 0 || slot >= kMaxSlots) return;
-  std::lock_guard<std::mutex> lock(write_mu_);
-  Slot& s = slots_[slot];
-  s.seq.fetch_add(1, std::memory_order_release);
-  s.begin.store(begin, std::memory_order_relaxed);
-  s.end.store(end, std::memory_order_relaxed);
-  s.seq.fetch_add(1, std::memory_order_release);
-}
-
 bool FaultTable::handle_fault(std::uintptr_t addr) noexcept {
   const std::uint64_t t0 =
       g_fault_hist != nullptr && obs::enabled() &&
@@ -154,6 +148,7 @@ bool FaultTable::handle_fault(std::uintptr_t addr) noexcept {
   const std::size_t psize = page_size();
   const unsigned shift = page_shift();
   const int hw = high_water_.load(std::memory_order_acquire);
+  bool unarmed_cover = false;
 
   for (int i = 0; i < hw; ++i) {
     Slot& s = slots_[i];
@@ -162,7 +157,11 @@ bool FaultTable::handle_fault(std::uintptr_t addr) noexcept {
     std::uintptr_t begin = s.begin.load(std::memory_order_relaxed);
     std::uintptr_t end = s.end.load(std::memory_order_relaxed);
     if (addr < begin || addr >= end) continue;
-    if (!s.armed.load(std::memory_order_relaxed)) continue;
+    if (!s.armed.load(std::memory_order_relaxed)) {
+      // Retry rule (fault_table.h): only if no armed slot covers addr.
+      if (s.seq.load(std::memory_order_acquire) == seq0) unarmed_cover = true;
+      continue;
+    }
     AtomicBitmap* bm = s.bitmap.load(std::memory_order_relaxed);
     std::uint32_t batch = s.batch_pages.load(std::memory_order_relaxed);
     auto* ctr = s.fault_counter.load(std::memory_order_relaxed);
@@ -186,7 +185,7 @@ bool FaultTable::handle_fault(std::uintptr_t addr) noexcept {
                        static_cast<std::uint64_t>(n));
     return true;
   }
-  return false;
+  return unarmed_cover;
 }
 
 }  // namespace ickpt::memtrack::detail

@@ -7,11 +7,20 @@
 // to unprotect the faulted page (the same technique as the paper's
 // instrumentation library and libckpt).
 //
-// Concurrency contract: publish/unpublish/set_armed are serialized by
-// an internal mutex.  The handler reads slots lock-free behind a
-// per-slot sequence guard.  Callers must guarantee no in-flight writes
-// to a region while it is being unpublished (i.e. a rank detaches only
-// its own quiescent regions).
+// Concurrency contract: publish/unpublish are serialized by an internal
+// mutex.  The handler reads slots lock-free behind a per-slot sequence
+// guard.  Callers must guarantee no in-flight writes to a region while
+// it is being unpublished (i.e. a rank detaches only its own quiescent
+// regions).
+//
+// Retry rule: a fault on a published but unarmed slot is absorbed
+// without touching the bitmap or the protection, so the store retries.
+// Engines change a page's protection and the slot's armed flag in two
+// steps, so a store racing arm() or collect(false) on another thread
+// can fault while the two disagree; the retried store then succeeds or
+// faults on an armed slot.  An engine must therefore never leave a
+// published slot unarmed over read-only pages, or stores there retry
+// forever.
 #pragma once
 
 #include <atomic>
@@ -44,12 +53,10 @@ class FaultTable {
 
   void set_armed(int slot, bool armed);
 
-  /// Update the extent of a published region (not used by the engines
-  /// today; regions are republished on resize).
-  void update_range(int slot, std::uintptr_t begin, std::uintptr_t end);
-
-  /// Called from the signal handler.  Returns true if the fault was a
-  /// write to an armed tracked page and has been absorbed.
+  /// Called from the signal handler on a permission fault.  Returns
+  /// true if `addr` lies in a published region: a write to an armed
+  /// page is recorded and unprotected; on an unarmed slot the store is
+  /// retried (see the retry rule above).
   bool handle_fault(std::uintptr_t addr) noexcept;
 
   /// Number of currently-published slots (for tests).

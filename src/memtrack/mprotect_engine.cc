@@ -84,7 +84,11 @@ Result<RegionId> MProtectEngine::attach(std::span<std::byte> mem,
   }
   region->slot = slot;
   if (armed_) {
-    ICKPT_RETURN_IF_ERROR(protect_region(*region, /*readonly=*/true));
+    Status st = protect_region(*region, /*readonly=*/true);
+    if (!st.is_ok()) {
+      FaultTable::instance().unpublish(slot);
+      return st;
+    }
     FaultTable::instance().set_armed(slot, true);
   }
   regions_.emplace(id, std::move(region));

@@ -3,9 +3,9 @@
 //
 // This is the reproduction of the paper's instrumentation library
 // (Section 4.2): regions of application memory are attached, an
-// interval is armed (pages write-protected / soft-dirty bits cleared),
-// the application runs, and collect() returns the Incremental Working
-// Set — the set of pages written during the interval.
+// interval is armed (pages write-protected), the application runs, and
+// collect() returns the Incremental Working Set — the set of pages
+// written during the interval.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +26,6 @@ inline constexpr RegionId kInvalidRegion = 0xffffffffu;
 enum class EngineKind {
   /// mprotect + SIGSEGV write faults — the paper's mechanism.
   kMProtect,
-  /// /proc/self/clear_refs + pagemap soft-dirty bits (CRIU-style).
-  kSoftDirty,
-  /// userfaultfd write-protection (modern kernels; no signal handler).
-  kUffd,
   /// Application-annotated writes; deterministic, for tests and replay.
   kExplicit,
 };
@@ -70,7 +66,6 @@ struct EngineCounters {
   std::uint64_t faults_handled = 0;  ///< SIGSEGV faults absorbed (mprotect)
   std::uint64_t arms = 0;            ///< intervals armed
   std::uint64_t collects = 0;        ///< snapshots taken
-  std::uint64_t pages_scanned = 0;   ///< pagemap entries read (soft-dirty)
 };
 
 class DirtyTracker {
@@ -98,7 +93,7 @@ class DirtyTracker {
   virtual Result<DirtySnapshot> collect(bool rearm) = 0;
 
   /// Explicit write notification.  Only the kExplicit engine uses it;
-  /// hardware-backed engines ignore it, so proxy kernels can call it
+  /// the mprotect engine ignores it, so proxy kernels can call it
   /// unconditionally.
   virtual void note_write(const void* /*addr*/, std::size_t /*len*/) {}
 
@@ -111,14 +106,7 @@ class DirtyTracker {
   virtual std::size_t tracked_bytes() const = 0;
 };
 
-/// Factory.  kSoftDirty / kUffd return kUnsupported when the kernel
-/// lacks the mechanism (probed at first use).
+/// Factory.  Fails only for a value outside EngineKind.
 Result<std::unique_ptr<DirtyTracker>> make_tracker(EngineKind kind);
-
-/// True if the soft-dirty mechanism works in this kernel/container.
-bool soft_dirty_supported();
-
-/// True if userfaultfd write-protection works here (see uffd_engine.h).
-bool uffd_supported();
 
 }  // namespace ickpt::memtrack

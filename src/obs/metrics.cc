@@ -277,15 +277,6 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::reset_all() noexcept {
-  const std::size_t nc = counter_count();
-  for (std::size_t i = 0; i < nc; ++i) counters_[i]->metric.reset();
-  const std::size_t ng = gauge_count();
-  for (std::size_t i = 0; i < ng; ++i) gauges_[i]->metric.reset();
-  const std::size_t nh = histogram_count();
-  for (std::size_t i = 0; i < nh; ++i) histograms_[i]->metric.reset();
-}
-
 std::string Snapshot::to_json() const {
   std::string out;
   out.reserve(256 + 64 * (counters.size() + gauges.size()) +

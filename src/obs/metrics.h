@@ -231,9 +231,6 @@ class Registry {
   Snapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
 
-  /// Zero every metric (names stay registered; handles stay valid).
-  void reset_all() noexcept;
-
   // Lock-free, allocation-free, async-signal-safe reads over the
   // published prefix.  Indices < *_count() stay valid forever; *_at()
   // returns nullptr past the end.  `name` (and `unit`) receive views

@@ -4,8 +4,7 @@
 // interconnect (QsNet II, 900 MB/s) and secondary storage (SCSI,
 // 320 MB/s); those ceilings live in analysis/feasibility.h.  The
 // backends here provide real persistence (file), fast in-memory
-// storage (for diskless-style checkpointing and tests), a
-// byte-counting null sink, a metering decorator, and a
+// storage, a byte-counting null sink, a metering decorator, and a
 // fault-injecting decorator for failure testing.
 #pragma once
 

@@ -62,6 +62,11 @@ TEST(FaultTableStressTest, ChurnWhileOthersFault) {
       writes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Churn only once the writer runs: on a loaded host the loop below
+  // can otherwise finish before the writer is first scheduled.
+  while (writes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   for (int i = 0; i < 200; ++i) {
     PageArena scratch(4 * page_size());

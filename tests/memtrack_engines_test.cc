@@ -1,8 +1,9 @@
 // Per-engine behavioural tests: attach/detach lifecycle, arm/collect
-// semantics, fault absorption (mprotect), pagemap scanning (soft-dirty),
-// and explicit notification.
+// semantics, fault absorption (mprotect) and explicit notification.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -10,7 +11,6 @@
 #include "memtrack/explicit_engine.h"
 #include "memtrack/fault_table.h"
 #include "memtrack/mprotect_engine.h"
-#include "memtrack/softdirty_engine.h"
 #include "memtrack/tracker.h"
 
 namespace ickpt::memtrack {
@@ -217,6 +217,56 @@ TEST(MProtectEngineTest, WritesFromMultipleThreads) {
   EXPECT_EQ(snap->dirty_pages(), kPages);
 }
 
+// A store racing arm() or collect(false) on another thread must retry
+// (the retry rule in fault_table.h), not be forwarded as a crash.
+TEST(MProtectEngineTest, StoresRacingArmAndCollectSurvive) {
+  constexpr std::size_t kPages = 4;
+  constexpr int kCycles = 20000;
+  PageArena arena(kPages * page_size());
+  arena.prefault();
+  MProtectEngine engine;
+  ASSERT_TRUE(engine.attach(arena.span(), "race").is_ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> started{false};
+  std::thread writer([&] {
+    auto* mem = reinterpret_cast<volatile unsigned char*>(arena.data());
+    for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      mem[(i % kPages) * page_size()] = static_cast<unsigned char>(i);
+      started.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+
+  bool ok = true;
+  for (int c = 0; c < kCycles && ok; ++c) {
+    ok = engine.arm().is_ok() && engine.collect(/*rearm=*/false).is_ok();
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_TRUE(ok);
+}
+
+// attach() on an armed engine publishes the region's fault-table slot
+// before protecting it; when mprotect fails the slot must be released,
+// not left pointing at the destroyed region's bitmap.
+TEST(MProtectEngineTest, FailedAttachWhileArmedReleasesItsSlot) {
+  const std::size_t bytes = 2 * page_size();
+  void* gone = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(gone, MAP_FAILED);
+  ASSERT_EQ(::munmap(gone, bytes), 0);
+
+  MProtectEngine engine;
+  ASSERT_TRUE(engine.arm().is_ok());
+  auto& table = detail::FaultTable::instance();
+  const int before = table.published_count();
+  auto id = engine.attach({static_cast<std::byte*>(gone), bytes}, "gone");
+  EXPECT_EQ(id.status().code(), ErrorCode::kIoError);
+  EXPECT_EQ(engine.region_count(), 0u);
+  EXPECT_EQ(table.published_count(), before);
+}
+
 TEST(MProtectEngineTest, TwoEnginesCoexist) {
   MProtectEngine e1, e2;
   PageArena a(2 * page_size()), b(2 * page_size());
@@ -247,60 +297,6 @@ TEST(MProtectEngineTest, SnapshotReportsBytes) {
   ASSERT_TRUE(snap.is_ok());
   EXPECT_EQ(snap->dirty_bytes(), 2 * page_size());
   EXPECT_EQ(snap->tracked_bytes(), 4 * page_size());
-}
-
-// --------------------------------------------------------------- softdirty
-
-class SoftDirtyTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!soft_dirty_supported()) {
-      GTEST_SKIP() << "soft-dirty not supported in this kernel";
-    }
-  }
-};
-
-TEST_F(SoftDirtyTest, TracksSingleWrite) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(8 * page_size());
-  arena.prefault();
-  auto id = (*engine)->attach(arena.span(), "sd");
-  ASSERT_TRUE(id.is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  arena.data()[5 * page_size()] = std::byte{1};
-  auto snap = (*engine)->collect(false);
-  ASSERT_TRUE(snap.is_ok());
-  auto pages = dirty_pages_of(*snap, *id);
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0], 5u);
-}
-
-TEST_F(SoftDirtyTest, RearmClearsBits) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(4 * page_size());
-  arena.prefault();
-  ASSERT_TRUE((*engine)->attach(arena.span(), "sd").is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  arena.data()[0] = std::byte{1};
-  auto s1 = (*engine)->collect(/*rearm=*/true);
-  ASSERT_TRUE(s1.is_ok());
-  EXPECT_EQ(s1->dirty_pages(), 1u);
-  auto s2 = (*engine)->collect(false);
-  ASSERT_TRUE(s2.is_ok());
-  EXPECT_EQ(s2->dirty_pages(), 0u);
-}
-
-TEST_F(SoftDirtyTest, ScanCountsPages) {
-  auto engine = SoftDirtyEngine::create();
-  ASSERT_TRUE(engine.is_ok());
-  PageArena arena(16 * page_size());
-  arena.prefault();
-  ASSERT_TRUE((*engine)->attach(arena.span(), "sd").is_ok());
-  ASSERT_TRUE((*engine)->arm().is_ok());
-  ASSERT_TRUE((*engine)->collect(false).is_ok());
-  EXPECT_GE((*engine)->counters().pages_scanned, 16u);
 }
 
 // ---------------------------------------------------------------- explicit
@@ -367,19 +363,10 @@ TEST(FactoryTest, MakesEachKind) {
   auto ex = make_tracker(EngineKind::kExplicit);
   ASSERT_TRUE(ex.is_ok());
   EXPECT_EQ((*ex)->kind(), EngineKind::kExplicit);
-
-  auto sd = make_tracker(EngineKind::kSoftDirty);
-  if (soft_dirty_supported()) {
-    ASSERT_TRUE(sd.is_ok());
-    EXPECT_EQ((*sd)->kind(), EngineKind::kSoftDirty);
-  } else {
-    EXPECT_EQ(sd.status().code(), ErrorCode::kUnsupported);
-  }
 }
 
 TEST(FactoryTest, KindNames) {
   EXPECT_EQ(to_string(EngineKind::kMProtect), "mprotect");
-  EXPECT_EQ(to_string(EngineKind::kSoftDirty), "softdirty");
   EXPECT_EQ(to_string(EngineKind::kExplicit), "explicit");
 }
 

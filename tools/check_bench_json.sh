@@ -5,6 +5,9 @@
 # invoking a JSON Schema validator.
 #
 # Usage: check_bench_json.sh FILE [FILE...]
+#
+# The records given together must agree on hw_threads: docs compare
+# arms across records, which only means something on one host.
 set -eu
 
 if [ "$#" -lt 1 ]; then
@@ -13,6 +16,8 @@ if [ "$#" -lt 1 ]; then
 fi
 
 status=0
+first_hw=""
+first_file=""
 for f in "$@"; do
   if [ ! -f "$f" ]; then
     echo "FAIL $f: missing" >&2
@@ -48,6 +53,15 @@ for f in "$@"; do
   if [ "$(jq -r '[.arms[].name] | length' "$f")" != \
        "$(jq -r '[.arms[].name] | unique | length' "$f")" ]; then
     echo "FAIL $f: duplicate arm names" >&2
+    status=1
+    continue
+  fi
+  hw="$(jq -r '.hw_threads' "$f")"
+  if [ -z "$first_hw" ]; then
+    first_hw="$hw"
+    first_file="$f"
+  elif [ "$hw" != "$first_hw" ]; then
+    echo "FAIL $f: hw_threads $hw, but $first_file has $first_hw" >&2
     status=1
     continue
   fi

@@ -77,7 +77,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: ickpt apps\n"
                "       ickpt study --app NAME [--timeslice S] [--ranks N]\n"
-               "                   [--engine mprotect|softdirty|uffd|explicit]\n"
+               "                   [--engine mprotect|explicit]\n"
                "                   [--scale F] [--run-vs S] [--phase S]\n"
                "                   [--csv FILE] [--trace FILE]\n"
                "                   [--write-trace FILE]\n"
@@ -111,11 +111,9 @@ int flag_error(const Status& st, const FlagSet& flags) {
 
 Result<memtrack::EngineKind> parse_engine(const std::string& name) {
   if (name == "mprotect") return memtrack::EngineKind::kMProtect;
-  if (name == "softdirty") return memtrack::EngineKind::kSoftDirty;
-  if (name == "uffd") return memtrack::EngineKind::kUffd;
   if (name == "explicit") return memtrack::EngineKind::kExplicit;
   return invalid_argument("ickpt: unknown engine '" + name +
-                          "' (expected mprotect|softdirty|uffd|explicit)");
+                          "' (expected mprotect|explicit)");
 }
 
 void print_metrics(const obs::Snapshot& snap, const std::string& title) {
@@ -185,7 +183,7 @@ int cmd_study(int argc, char** argv) {
   flags.add_double("timeslice", &cfg.timeslice, "sampling timeslice (s)");
   flags.add_int("ranks", &cfg.nprocs, "ranks to run (threads over minimpi)");
   flags.add_string("engine", &engine_name,
-                   "dirty-page engine: mprotect|softdirty|uffd|explicit");
+                   "dirty-page engine: mprotect|explicit");
   flags.add_double("scale", &cfg.footprint_scale,
                    "footprint scale vs the paper's machines");
   flags.add_double("run-vs", &cfg.run_vs,
