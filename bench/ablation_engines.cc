@@ -67,13 +67,15 @@ int main() {
   TextTable table("Ablation X1 - engine cost on identical workload (" +
                   std::to_string(pages) + " pages x " +
                   std::to_string(intervals) + " intervals)");
-  table.set_header({"Engine", "Wall (s)", "IWS pages (sum)", "Faults"});
+  table.set_header(
+      {"Engine", "Wall (s)", "IWS pages (sum)", "Faults", "Noted writes"});
 
   auto row = [&](const std::string& label, DirtyTracker& tracker) {
     auto r = run_workload(tracker, pages, intervals, writes_per);
     table.add_row({label, TextTable::num(r.wall_seconds, 3),
                    std::to_string(r.iws_pages_total),
-                   std::to_string(r.counters.faults_handled)});
+                   std::to_string(r.counters.faults_handled),
+                   std::to_string(r.counters.writes_noted)});
   };
 
   {

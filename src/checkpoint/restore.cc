@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "checkpoint/compress.h"
 #include "common/crc32.h"
@@ -121,20 +122,20 @@ Status validate_block(const BlockHeader& bh, const std::string& key) {
   return Status::ok();
 }
 
-/// Size the empty `out` to `len` zero bytes.  Zero-filling fresh memory
-/// is bound by page faults, so the 2 MiB-aligned interior of a large
-/// buffer is first advised onto transparent huge pages, which take 512
-/// times fewer faults.  A hint only: without huge pages nothing changes.
-void assign_zeroed(std::vector<std::byte>& out, std::size_t len) {
+/// A fresh zero block of `len` bytes.  Its 2 MiB-aligned interior is
+/// advised onto transparent huge pages, which take 512 times fewer
+/// faults when decode writes it.  A hint only: without huge pages
+/// nothing changes.
+BlockBytes fresh_block(std::size_t len) {
   constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
-  out.reserve(len);
+  BlockBytes out(len);
   const auto begin = reinterpret_cast<std::uintptr_t>(out.data());
   const std::uintptr_t lo = (begin + kHugePage - 1) & ~(kHugePage - 1);
   const std::uintptr_t hi = (begin + len) & ~(kHugePage - 1);
   if (hi > lo) {
     (void)::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
   }
-  out.assign(len, std::byte{0});
+  return out;
 }
 
 // ===================================================================
@@ -234,7 +235,7 @@ Result<CheckpointFile> parse(storage::StorageBackend& storage,
     block.name = std::move(name);
     block.kind = static_cast<region::AreaKind>(bh.kind);
     const std::size_t rounded = page_ceil(bh.bytes, psize);
-    block.data.assign(rounded, std::byte{0});
+    block.data = BlockBytes(rounded);
     const std::size_t block_pages = rounded / psize;
 
     auto& run_list = out.runs[bh.block_id];
@@ -546,10 +547,15 @@ Status decode_read(storage::Reader& in, const ObjectIndex& obj,
       pos += sizeof rec;
       if (rec.payload_len > bytes.size() - pos) return unfilled();
       if ((chunk.winners >> p) & 1u) {
-        ICKPT_RETURN_IF_ERROR(decode_page(
-            static_cast<PageEncoding>(rec.encoding),
-            bytes.subspan(pos, rec.payload_len),
-            {chunk.out + (std::size_t{chunk.first_page} + p) * psize, psize}));
+        const auto encoding = static_cast<PageEncoding>(rec.encoding);
+        // The output is fresh, so a zero page is zero already; one that
+        // carries a payload still fails in decode_page.
+        if (encoding != PageEncoding::kZero || rec.payload_len != 0) {
+          ICKPT_RETURN_IF_ERROR(decode_page(
+              encoding, bytes.subspan(pos, rec.payload_len),
+              {chunk.out + (std::size_t{chunk.first_page} + p) * psize,
+               psize}));
+        }
         ++r.decoded;
       }
       pos += rec.payload_len;
@@ -739,8 +745,10 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     }
   }
 
-  // ---- Output state (final footprint only, zero-filled); mark the
-  // single writer of each surviving page in its chunk.
+  // ---- Output state (final footprint only), in mappings made for this
+  // attempt: decode skips zero pages, so it must never reuse memory
+  // that anything has written, not even a failed attempt's output.
+  // Mark the single writer of each surviving page in its chunk.
   RestoredState state;
   state.sequence = objs.back().header.sequence;
   state.virtual_time = objs.back().header.virtual_time;
@@ -749,7 +757,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     b.id = id;
     b.name = lb.meta.name;
     b.kind = lb.meta.kind;
-    assign_zeroed(b.data, lb.meta.rounded);
+    b.data = fresh_block(lb.meta.rounded);
     std::byte* out =
         state.blocks.emplace(id, std::move(b)).first->second.data.data();
     for (std::size_t p = 0; p < lb.winners.size(); ++p) {
@@ -889,12 +897,13 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
 }
 
 Result<std::map<std::uint32_t, region::BlockId>> materialize(
-    const RestoredState& state, region::AddressSpace& space) {
+    RestoredState& state, region::AddressSpace& space) {
   std::map<std::uint32_t, region::BlockId> mapping;
-  for (const auto& [id, block] : state.blocks) {
-    auto ref = space.map(block.data.size(), block.kind, block.name);
+  auto blocks = std::exchange(state.blocks, {});
+  for (auto& [id, block] : blocks) {
+    auto ref =
+        space.adopt(block.data.release(), block.kind, std::move(block.name));
     if (!ref.is_ok()) return ref.status();
-    std::memcpy(ref->mem.data(), block.data.data(), block.data.size());
     mapping[id] = ref->id;
   }
   return mapping;

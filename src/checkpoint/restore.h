@@ -13,9 +13,14 @@
 //                      page, merged per object into reads of at most
 //                      1 MiB and spread over a thread pool; check each
 //                      chunk's CRC and decode its winning pages straight
-//                      into the final RestoredState.  Superseded chunks
-//                      are never read, and peak memory stays
-//                      O(footprint) instead of O(chain x footprint).
+//                      into a fresh anonymous mapping per surviving
+//                      block.  The kernel zeroed those mappings, so a
+//                      winning zero page is never written and never
+//                      faulted in.  Superseded chunks are never read,
+//                      and peak memory stays O(footprint) instead of
+//                      O(chain x footprint).
+// materialize then hands each mapping to an AddressSpace as it is; no
+// byte is copied twice.
 // Restore verifies every byte it returns, not every byte of the chain:
 // damage confined to superseded chunks does not fail a restore.  The
 // whole-store check is fsck (inspect.h), which parses every object
@@ -25,20 +30,51 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/format.h"
+#include "common/arena.h"
 #include "common/status.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
 
 namespace ickpt::checkpoint {
 
+/// The page-rounded contents of one restored block, in an anonymous
+/// mapping of its own.  A new BlockBytes is all zero and none of its
+/// pages is resident until something touches it.
+class BlockBytes {
+ public:
+  BlockBytes() = default;
+  explicit BlockBytes(std::size_t len) : arena_(len) {}
+
+  std::byte* data() noexcept { return arena_.data(); }
+  const std::byte* data() const noexcept { return arena_.data(); }
+  std::size_t size() const noexcept { return arena_.size(); }
+  std::byte& operator[](std::size_t i) noexcept { return data()[i]; }
+  const std::byte& operator[](std::size_t i) const noexcept {
+    return data()[i];
+  }
+
+  /// Give up the mapping; *this is left empty.
+  PageArena release() noexcept { return std::move(arena_); }
+
+  /// A copy of the bytes, for perfbench's selftest, which keeps
+  /// restored blocks as vectors.  Nothing else may rely on it.
+  operator std::vector<std::byte>() const {
+    return {data(), data() + size()};
+  }
+
+ private:
+  PageArena arena_;
+};
+
 struct RestoredBlock {
   std::uint32_t id = 0;
   std::string name;
   region::AreaKind kind = region::AreaKind::kHeap;
-  std::vector<std::byte> data;  ///< page-rounded contents
+  BlockBytes data;  ///< page-rounded contents
 };
 
 struct RestoredState {
@@ -89,10 +125,13 @@ Result<RestoredState> restore_chain(storage::StorageBackend& storage,
                                     std::uint32_t rank,
                                     std::uint64_t upto = UINT64_MAX);
 
-/// Materialize a restored state into a fresh AddressSpace; returns the
-/// mapping from checkpointed block ids to new block ids (ascending by
-/// old id, preserving the logical block order).
+/// Materialize a restored state into an AddressSpace by adopting each
+/// block's mapping where restore left it; no byte is copied.  Returns
+/// the mapping from checkpointed block ids to new block ids (ascending
+/// by old id, preserving the logical block order).  `state.blocks` is
+/// empty on return, also on failure, when `space` keeps the blocks
+/// adopted before the error.
 Result<std::map<std::uint32_t, region::BlockId>> materialize(
-    const RestoredState& state, region::AddressSpace& space);
+    RestoredState& state, region::AddressSpace& space);
 
 }  // namespace ickpt::checkpoint

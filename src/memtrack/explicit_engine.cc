@@ -72,7 +72,7 @@ EngineCounters ExplicitEngine::counters() const {
   EngineCounters c;
   c.arms = arms_;
   c.collects = collects_;
-  c.faults_handled = notes_;
+  c.writes_noted = notes_;
   return c;
 }
 

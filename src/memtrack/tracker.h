@@ -64,6 +64,7 @@ struct DirtySnapshot {
 /// Engine health/cost counters for the intrusiveness analysis (§6.5).
 struct EngineCounters {
   std::uint64_t faults_handled = 0;  ///< SIGSEGV faults absorbed (mprotect)
+  std::uint64_t writes_noted = 0;    ///< armed note_write calls (explicit)
   std::uint64_t arms = 0;            ///< intervals armed
   std::uint64_t collects = 0;        ///< snapshots taken
 };

@@ -27,8 +27,13 @@ Result<BlockRef> AddressSpace::map(std::size_t bytes, AreaKind kind,
   if (bytes == 0) return invalid_argument("map: zero-size block");
   PageArena arena(bytes);
   arena.prefault();
-  auto region = tracker_.attach(arena.span(),
-                                name_ + "/" + name);
+  return adopt(std::move(arena), kind, std::move(name));
+}
+
+Result<BlockRef> AddressSpace::adopt(PageArena arena, AreaKind kind,
+                                     std::string name) {
+  if (arena.empty()) return invalid_argument("adopt: empty arena");
+  auto region = tracker_.attach(arena.span(), name_ + "/" + name);
   if (!region.is_ok()) return region.status();
 
   BlockId id = next_id_++;

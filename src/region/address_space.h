@@ -56,8 +56,13 @@ class AddressSpace {
   AddressSpace& operator=(const AddressSpace&) = delete;
 
   /// Map a new zero-filled block of at least `bytes` (page-rounded),
-  /// attach it to the dirty tracker, and pre-fault its pages.
+  /// pre-fault its pages, and adopt it.
   Result<BlockRef> map(std::size_t bytes, AreaKind kind, std::string name);
+
+  /// Take ownership of `arena` as a new block, in place and with its
+  /// contents, and attach it to the dirty tracker.  Its pages are not
+  /// pre-faulted.  An empty arena is kInvalidArgument.
+  Result<BlockRef> adopt(PageArena arena, AreaKind kind, std::string name);
 
   /// Unmap a block: detach from tracking and release the memory.
   Status unmap(BlockId id);

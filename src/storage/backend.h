@@ -4,8 +4,7 @@
 // interconnect (QsNet II, 900 MB/s) and secondary storage (SCSI,
 // 320 MB/s); those ceilings live in analysis/feasibility.h.  The
 // backends here provide real persistence (file), fast in-memory
-// storage, a byte-counting null sink, a metering decorator, and a
-// fault-injecting decorator for failure testing.
+// storage, a byte-counting null sink and a metering decorator.
 #pragma once
 
 #include <cstddef>
@@ -138,25 +137,6 @@ class MeteredBackend : public StorageBackend {
   obs::Counter& bytes_;
   obs::Histogram& write_ns_;
   obs::Histogram& object_bytes_;
-};
-
-/// Decorator: fails writes after `fail_after_bytes` total payload
-/// bytes (kIoError), for failure-injection tests.
-class FaultyBackend : public StorageBackend {
- public:
-  FaultyBackend(StorageBackend& inner, std::uint64_t fail_after_bytes);
-
-  Result<std::unique_ptr<Writer>> create(const std::string& key) override;
-  Result<std::unique_ptr<Reader>> open(const std::string& key) override;
-  Status remove(const std::string& key) override;
-  Result<std::vector<std::string>> list() override;
-  bool exists(const std::string& key) override;
-  std::uint64_t total_bytes_stored() const noexcept override;
-
- private:
-  class FaultyWriter;
-  StorageBackend& inner_;
-  std::shared_ptr<std::atomic<std::uint64_t>> budget_;
 };
 
 }  // namespace ickpt::storage

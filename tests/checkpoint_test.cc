@@ -11,6 +11,7 @@
 #include "memtrack/explicit_engine.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "tests/support/faulty_backend.h"
 
 namespace ickpt::checkpoint {
 namespace {

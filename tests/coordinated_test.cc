@@ -12,6 +12,7 @@
 #include "minimpi/comm.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "tests/support/faulty_backend.h"
 
 namespace ickpt::checkpoint {
 namespace {

@@ -319,6 +319,19 @@ TEST(ExplicitEngineTest, NotedWritesAppear) {
   EXPECT_EQ(pages[3], 6u);
 }
 
+TEST(ExplicitEngineTest, CountsNotedWritesNotFaults) {
+  PageArena arena(4 * page_size());
+  ExplicitEngine engine;
+  ASSERT_TRUE(engine.attach(arena.span(), "x").is_ok());
+  ASSERT_TRUE(engine.arm().is_ok());
+  constexpr std::uint64_t kNotes = 5;
+  for (std::uint64_t i = 0; i < kNotes; ++i) {
+    engine.note_write(arena.data() + (i % 4) * page_size(), 1);
+  }
+  EXPECT_EQ(engine.counters().faults_handled, 0u);
+  EXPECT_EQ(engine.counters().writes_noted, kNotes);
+}
+
 TEST(ExplicitEngineTest, NotesIgnoredWhenUnarmed) {
   PageArena arena(2 * page_size());
   ExplicitEngine engine;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "memtrack/explicit_engine.h"
 #include "memtrack/mprotect_engine.h"
@@ -124,6 +126,41 @@ TEST(AddressSpaceTest, WorksWithMProtectEngine) {
   auto snap = engine.collect(false);
   ASSERT_TRUE(snap.is_ok());
   EXPECT_EQ(snap->dirty_pages(), 1u);
+}
+
+TEST(AddressSpaceTest, AdoptedBlockIsTrackedInPlace) {
+  MProtectEngine engine;
+  AddressSpace space(engine, "r");
+  PageArena arena(4 * page_size());
+  arena.data()[page_size()] = std::byte{7};
+  std::byte* const base = arena.data();
+  auto ref = space.adopt(std::move(arena), AreaKind::kMmap, "adopted");
+  ASSERT_TRUE(ref.is_ok());
+  EXPECT_EQ(ref->mem.data(), base);
+  EXPECT_EQ(ref->mem.size(), 4 * page_size());
+  EXPECT_EQ(ref->mem[page_size()], std::byte{7});
+  EXPECT_EQ(space.footprint_bytes(), 4 * page_size());
+  EXPECT_EQ(engine.region_count(), 1u);
+
+  ASSERT_TRUE(engine.arm().is_ok());
+  ref->mem[2 * page_size()] = std::byte{1};
+  auto snap = engine.collect(false);
+  ASSERT_TRUE(snap.is_ok());
+  auto info = space.block_info(ref->id);
+  ASSERT_TRUE(info.is_ok());
+  ASSERT_EQ(snap->regions.size(), 1u);
+  EXPECT_EQ(snap->regions[0].id, info->region);
+  EXPECT_EQ(snap->regions[0].dirty_pages, std::vector<std::uint32_t>{2});
+}
+
+TEST(AddressSpaceTest, AdoptEmptyArenaFails) {
+  ExplicitEngine engine;
+  AddressSpace space(engine, "r");
+  auto ref = space.adopt(PageArena{}, AreaKind::kHeap, "nil");
+  ASSERT_FALSE(ref.is_ok());
+  EXPECT_EQ(ref.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(space.block_count(), 0u);
+  EXPECT_EQ(engine.region_count(), 0u);
 }
 
 TEST(AddressSpaceTest, MappedMemoryIsZeroFilled) {

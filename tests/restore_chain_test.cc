@@ -2,16 +2,21 @@
 // identity, upto filtering, gap and corruption handling (strict and
 // truncated-tail), memory exclusion across long chains, decode-once
 // accounting, what restore reads from a v3 object (winning chunks
-// only, every byte of them verified), numeric sequence ordering at the
-// key-pad boundary, and store repair.
+// only, every byte of them verified), the output (fresh mappings that
+// zero pages never touch, adopted in place by materialize), numeric
+// sequence ordering at the key-pad boundary, and store repair.
 #include "checkpoint/restore.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstddef>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "checkpoint/checkpointer.h"
+#include "checkpoint/compress.h"
 #include "checkpoint/format.h"
 #include "checkpoint/inspect.h"
 #include "common/crc32.h"
@@ -62,6 +67,18 @@ FileTrailer trailer_of(const std::vector<std::byte>& data) {
   FileTrailer t;
   std::memcpy(&t, data.data() + data.size() - sizeof t, sizeof t);
   return t;
+}
+
+/// Recompute both trailer CRCs over the object's current bytes.
+void reseal_trailer(std::vector<std::byte>& data) {
+  FileTrailer t = trailer_of(data);
+  const std::size_t index_end = data.size() - sizeof t;
+  Crc32 index_crc;
+  index_crc.update(data.data(), sizeof(FileHeader));
+  index_crc.update(data.data() + t.index_offset, index_end - t.index_offset);
+  t.index_crc = index_crc.value();
+  t.crc32 = crc32({data.data(), index_end});
+  std::memcpy(data.data() + index_end, &t, sizeof t);
 }
 
 /// Offset and length of chunk `c` of an object that holds one block
@@ -549,6 +566,116 @@ TEST_F(RestoreChainTest, TornIndexReadsAsTornNeverAsShorterObject) {
   }
 }
 
+// --- The output: fresh mappings, adopted in place --------------------
+
+/// Residency of each page of `block`, from mincore.
+std::vector<bool> resident_pages(const BlockBytes& block) {
+  std::vector<unsigned char> vec(block.size() / page_size());
+  EXPECT_EQ(::mincore(const_cast<std::byte*>(block.data()), block.size(),
+                      vec.data()),
+            0);
+  std::vector<bool> out;
+  for (unsigned char v : vec) out.push_back((v & 1u) != 0);
+  return out;
+}
+
+TEST_F(RestoreChainTest, WinningZeroPagesAreNeverFaultedIn) {
+  // With transparent huge pages always on, one write can fault in a
+  // huge page that spans the zero pages around it.
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  const std::string mode{std::istreambuf_iterator<char>(thp), {}};
+  if (mode.find("[always]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are always on";
+  }
+  // 32 pages (well under 2 MiB): 0..15 random, 16..31 zero in the full
+  // checkpoint; the incremental zeroes 0..3 and writes page 20.
+  auto a = add_block(32, "a", 1);
+  std::memset(a.data() + 16 * page_size(), 0, 16 * page_size());
+  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  ASSERT_TRUE(engine_.arm().is_ok());
+  std::memset(a.data(), 0, 4 * page_size());
+  engine_.note_write(a.data(), 4 * page_size());
+  touch(a, 20, 7);
+  incremental(1.0);
+
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  ASSERT_EQ(state->blocks.size(), 1u);
+  // Residency first: reading a page below would fault it in.
+  const auto resident = resident_pages(state->blocks.begin()->second.data);
+  ASSERT_EQ(resident.size(), 32u);
+  for (std::size_t p = 0; p < resident.size(); ++p) {
+    const bool zero = p < 4 || (p >= 16 && p != 20);
+    EXPECT_EQ(resident[p], !zero) << "page " << p;
+  }
+  auto serial = restore_chain_serial(*storage_, 0);
+  ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
+  expect_states_identical(*serial, *state);
+}
+
+TEST_F(RestoreChainTest, MaterializeAdoptsEachBlockWhereRestoreLeftIt) {
+  build_chain(3);
+  add_block(5, "b", 9);
+  ASSERT_TRUE(ckpt_->checkpoint_full(4.0).is_ok());
+  auto serial = restore_chain_serial(*storage_, 0);
+  ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  ASSERT_EQ(state->blocks.size(), 2u);
+  std::map<std::uint32_t, const std::byte*> where;
+  for (const auto& [id, block] : state->blocks) where[id] = block.data.data();
+
+  ExplicitEngine engine;
+  AddressSpace space(engine, "restored");
+  auto ids = materialize(*state, space);
+  ASSERT_TRUE(ids.is_ok()) << ids.status().to_string();
+  EXPECT_TRUE(state->blocks.empty());
+  ASSERT_EQ(ids->size(), serial->blocks.size());
+  for (const auto& [id, block] : serial->blocks) {
+    ASSERT_EQ(ids->count(id), 1u) << "block " << id;
+    auto span = space.block_span(ids->at(id));
+    ASSERT_TRUE(span.is_ok());
+    EXPECT_EQ(span->data(), where.at(id)) << "block " << id;
+    ASSERT_EQ(span->size(), block.data.size());
+    EXPECT_EQ(std::memcmp(span->data(), block.data.data(), span->size()), 0)
+        << "block " << id;
+  }
+}
+
+TEST_F(RestoreChainTest, WinningZeroRecordWithPayloadIsCorruption) {
+  add_block(4, "a", 1);  // random pages: every record carries a payload
+  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  const std::string key = checkpoint_key(0, 0);
+  auto data = read_object(key);
+  const auto [offset, length] = single_run_chunk(data, 0);
+  PageRecord rec;
+  std::memcpy(&rec, data.data() + offset, sizeof rec);
+  ASSERT_EQ(rec.encoding, static_cast<std::uint32_t>(PageEncoding::kPlain));
+  ASSERT_GT(rec.payload_len, 0u);
+  rec.encoding = static_cast<std::uint32_t>(PageEncoding::kZero);
+  std::memcpy(data.data() + offset, &rec, sizeof rec);
+
+  // Re-seal the chunk's CRC in the index, then both trailer CRCs, so
+  // only the record itself is wrong.
+  const std::uint64_t index_offset = trailer_of(data).index_offset;
+  BlockHeader bh;
+  std::memcpy(&bh, data.data() + index_offset, sizeof bh);
+  const std::size_t entry =
+      index_offset + sizeof bh + bh.name_len + sizeof(RunHeader);
+  ChunkEntry e;
+  std::memcpy(&e, data.data() + entry, sizeof e);
+  ASSERT_EQ(e.length, length);
+  e.crc32 = crc32({data.data() + offset, length});
+  std::memcpy(data.data() + entry, &e, sizeof e);
+  reseal_trailer(data);
+  write_object(key, data);
+
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_FALSE(state.is_ok());
+  EXPECT_EQ(state.status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(state.status().message(), "zero page with payload");
+}
+
 // --- Sequence ordering at the key zero-pad boundary -----------------
 
 /// Rewrite header sequence/parent and re-seal both trailer CRCs.
@@ -559,14 +686,7 @@ void patch_sequences(std::vector<std::byte>& data, std::uint64_t seq,
   h.sequence = seq;
   h.parent_sequence = parent;
   std::memcpy(data.data(), &h, sizeof h);
-  FileTrailer t = trailer_of(data);
-  const std::size_t index_end = data.size() - sizeof t;
-  Crc32 index_crc;
-  index_crc.update(&h, sizeof h);
-  index_crc.update(data.data() + t.index_offset, index_end - t.index_offset);
-  t.index_crc = index_crc.value();
-  t.crc32 = crc32({data.data(), index_end});
-  std::memcpy(data.data() + index_end, &t, sizeof t);
+  reseal_trailer(data);
 }
 
 TEST_F(RestoreChainTest, RestoresChainsPastTheOldPadBoundary) {

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "obs/metrics.h"
+#include "tests/support/faulty_backend.h"
 
 namespace ickpt::storage {
 namespace {
