@@ -135,26 +135,58 @@ void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
 
 /// CRC-tracking write helper.  Structural bytes written through it are
 /// also copied into `index`, which becomes the manifest half of the
-/// object's index.
+/// object's index.  Bytes are handed to the store in kWriteBytes
+/// pieces: small writes collect in `pending`, and a range of at least
+/// kWriteBytes goes straight out after the pending bytes.  Call flush()
+/// before closing the store's writer.
 struct CrcWriter {
+  static constexpr std::size_t kWriteBytes = 256 * 1024;
+
+  explicit CrcWriter(storage::Writer& sink) : out(sink) {
+    pending.reserve(kWriteBytes);
+  }
+
   storage::Writer& out;
   Crc32 crc;
   std::uint64_t offset = 0;  ///< bytes written so far
   std::vector<std::byte>* index = nullptr;
+  std::vector<std::byte> pending;  ///< not yet handed to `out`
 
   Status write(const void* data, std::size_t len) {
     crc.update(data, len);
-    offset += len;
     if (index != nullptr) append(*index, data, len);
-    return out.write({static_cast<const std::byte*>(data), len});
+    return put({static_cast<const std::byte*>(data), len});
   }
 
   /// Write a pre-encoded byte range whose finalized CRC is already
   /// known, folding it into the stream CRC without re-reading it.
   Status write_hashed(std::span<const std::byte> data, std::uint32_t data_crc) {
     crc.combine(data_crc, data.size());
+    return put(data);
+  }
+
+  /// Write bytes the CRC already covers.
+  Status put(std::span<const std::byte> data) {
     offset += data.size();
-    return out.write(data);
+    if (data.size() >= kWriteBytes) {
+      ICKPT_RETURN_IF_ERROR(flush());
+      return out.write(data);
+    }
+    while (!data.empty()) {
+      const std::size_t n =
+          std::min(data.size(), kWriteBytes - pending.size());
+      append(pending, data.data(), n);
+      data = data.subspan(n);
+      if (pending.size() == kWriteBytes) ICKPT_RETURN_IF_ERROR(flush());
+    }
+    return Status::ok();
+  }
+
+  Status flush() {
+    if (pending.empty()) return Status::ok();
+    auto st = out.write(pending);
+    pending.clear();
+    return st;
   }
 };
 
@@ -181,27 +213,27 @@ void encode_shard(EncodeShard& shard, std::size_t psize, bool compress) {
   obs::TraceSpan span(metrics.t_encode_shard, shard.page_count);
   shard.buf.reserve(shard.page_count * (sizeof(PageRecord) + psize));
   shard.chunks.reserve((shard.page_count + kChunkPages - 1) / kChunkPages);
-  std::vector<std::byte> payload;
   std::size_t chunk_start = 0;
   for (std::uint32_t p = 0; p < shard.page_count; ++p) {
-    const std::byte* page_data = shard.base + std::size_t{p} * psize;
-    PageRecord rec;
+    const std::span<const std::byte> page(shard.base + std::size_t{p} * psize,
+                                          psize);
+    // Reserve the record, append the payload behind it, then fill the
+    // record in: each page is encoded once, straight into `buf`.
+    const std::size_t rec_at = shard.buf.size();
+    shard.buf.resize(rec_at + sizeof(PageRecord));
+    PageEncoding enc = PageEncoding::kPlain;
     if (compress) {
-      PageEncoding enc = encode_page({page_data, psize}, payload);
-      rec.encoding = static_cast<std::uint32_t>(enc);
-      rec.payload_len = static_cast<std::uint32_t>(payload.size());
-      append(shard.buf, &rec, sizeof rec);
-      if (!payload.empty()) {
-        append(shard.buf, payload.data(), payload.size());
-      }
+      enc = encode_page(page, shard.buf);
       if (enc == PageEncoding::kZero) ++shard.zero_pages;
       if (enc == PageEncoding::kRle) ++shard.rle_pages;
     } else {
-      rec.encoding = static_cast<std::uint32_t>(PageEncoding::kPlain);
-      rec.payload_len = static_cast<std::uint32_t>(psize);
-      append(shard.buf, &rec, sizeof rec);
-      append(shard.buf, page_data, psize);
+      shard.buf.insert(shard.buf.end(), page.begin(), page.end());
     }
+    PageRecord rec;
+    rec.encoding = static_cast<std::uint32_t>(enc);
+    rec.payload_len = static_cast<std::uint32_t>(shard.buf.size() - rec_at -
+                                                 sizeof rec);
+    std::memcpy(shard.buf.data() + rec_at, &rec, sizeof rec);
     if ((p + 1) % kChunkPages == 0 || p + 1 == shard.page_count) {
       shard.chunks.push_back(
           ChunkEntry{static_cast<std::uint32_t>(shard.buf.size() - chunk_start),
@@ -374,7 +406,7 @@ Result<CheckpointMeta> Checkpointer::write_object(
   auto writer = storage_.create(key);
   if (!writer.is_ok()) return writer.status();
   storage::Writer& sink = **writer;
-  CrcWriter w{sink, {}};
+  CrcWriter w(sink);
 
   FileHeader header;
   header.kind = static_cast<std::uint16_t>(kind);
@@ -440,7 +472,7 @@ Result<CheckpointMeta> Checkpointer::write_object(
     }
   }
 
-  // ---- Index and trailer, in one write.
+  // ---- Index and trailer.
   append(index, chunks.data(), chunks.size() * sizeof(ChunkEntry));
   const std::uint32_t index_crc = crc32(index);
   w.crc.combine(index_crc, index.size());
@@ -449,7 +481,8 @@ Result<CheckpointMeta> Checkpointer::write_object(
   trailer.index_crc = crc32_combine(header_crc, index_crc, index.size());
   trailer.crc32 = w.crc.value();
   append(index, &trailer, sizeof trailer);
-  ICKPT_RETURN_IF_ERROR(sink.write(index));
+  ICKPT_RETURN_IF_ERROR(w.put(index));
+  ICKPT_RETURN_IF_ERROR(w.flush());
   ICKPT_RETURN_IF_ERROR(sink.close());
 
   CheckpointMeta meta;

@@ -13,19 +13,22 @@ struct RlePair {
 }  // namespace
 
 bool is_zero_page(std::span<const std::byte> page) {
-  // This runs on every page of every incremental, so it is shaped for
-  // the vectorizer: 64-byte blocks of eight independent OR-folded
-  // words (one cache line per iteration, no loop-carried dependency
-  // until the fold) with a per-block early-out — a dirty page is
-  // detected after one line instead of a whole-page scan.
+  // This runs on every page of every incremental.  Each 64-byte block
+  // is four 16-byte loads OR-folded in vector registers (a portable GCC
+  // vector type, so no intrinsics and no ISA dispatch), with one branch
+  // per block: a dirty page is detected after one line instead of a
+  // whole-page scan.
+  using u64x2 = std::uint64_t __attribute__((vector_size(16)));
   const auto* p = reinterpret_cast<const unsigned char*>(page.data());
   std::size_t len = page.size();
   while (len >= 64) {
-    std::uint64_t w[8];
-    std::memcpy(w, p, 64);
-    const std::uint64_t acc = (w[0] | w[1]) | (w[2] | w[3]) |
-                              ((w[4] | w[5]) | (w[6] | w[7]));
-    if (acc != 0) return false;
+    u64x2 a, b, c, d;
+    std::memcpy(&a, p, 16);
+    std::memcpy(&b, p + 16, 16);
+    std::memcpy(&c, p + 32, 16);
+    std::memcpy(&d, p + 48, 16);
+    const u64x2 acc = (a | b) | (c | d);
+    if ((acc[0] | acc[1]) != 0) return false;
     p += 64;
     len -= 64;
   }
@@ -43,38 +46,41 @@ bool is_zero_page(std::span<const std::byte> page) {
 
 PageEncoding encode_page(std::span<const std::byte> page,
                          std::vector<std::byte>& out) {
-  out.clear();
   if (is_zero_page(page)) return PageEncoding::kZero;
 
-  // Word RLE, emitted straight into `out` so a caller that reuses its
-  // buffer pays zero allocations per page in steady state.  Abort to
-  // plain as soon as it stops paying off.
-  const auto* words = reinterpret_cast<const std::uint64_t*>(page.data());
+  // Word RLE pays only when its pairs take under half the page, that
+  // is with fewer than `limit` runs.  Count the runs first and stop at
+  // `limit`, so a page that ends up plain costs a partial scan and one
+  // copy, never a discarded RLE attempt.
   const std::size_t nwords = page.size() / 8;
-  out.reserve(page.size());
-  if (nwords * 8 == page.size() && nwords > 0) {
-    std::size_t i = 0;
-    bool profitable = true;
-    while (i < nwords) {
-      std::size_t j = i + 1;
-      while (j < nwords && words[j] == words[i]) ++j;
-      const RlePair pair{j - i, words[i]};
-      const std::size_t old = out.size();
-      out.resize(old + sizeof pair);
-      std::memcpy(out.data() + old, &pair, sizeof pair);
-      i = j;
-      if (out.size() >= page.size()) {
-        profitable = false;
-        break;
-      }
-    }
-    if (profitable && out.size() < page.size() / 2) {
-      return PageEncoding::kRle;
-    }
+  const std::size_t limit =
+      (page.size() / 2 + sizeof(RlePair) - 1) / sizeof(RlePair);
+  const auto word = [&page](std::size_t i) {
+    std::uint64_t w;
+    std::memcpy(&w, page.data() + i * 8, 8);
+    return w;
+  };
+  std::size_t runs = 1;
+  for (std::size_t i = 1; i < nwords && runs < limit; ++i) {
+    if (word(i) != word(i - 1)) ++runs;
+  }
+  if (nwords == 0 || nwords * 8 != page.size() || runs >= limit) {
+    out.insert(out.end(), page.begin(), page.end());
+    return PageEncoding::kPlain;
   }
 
-  out.assign(page.begin(), page.end());
-  return PageEncoding::kPlain;
+  std::size_t at = out.size();
+  out.resize(at + runs * sizeof(RlePair));
+  std::size_t i = 0;
+  while (i < nwords) {
+    std::size_t j = i + 1;
+    while (j < nwords && word(j) == word(i)) ++j;
+    const RlePair pair{j - i, word(i)};
+    std::memcpy(out.data() + at, &pair, sizeof pair);
+    at += sizeof pair;
+    i = j;
+  }
+  return PageEncoding::kRle;
 }
 
 Status decode_page(PageEncoding encoding, std::span<const std::byte> payload,

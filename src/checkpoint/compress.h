@@ -23,9 +23,11 @@ enum class PageEncoding : std::uint32_t {
   kRle = 2,
 };
 
-/// Encode one page.  Appends the chosen encoding's payload to `out`
-/// (cleared first) and returns the encoding.  `page` must be a whole
-/// page (size a multiple of 8).
+/// Encode one page: append the chosen encoding's payload to `out` and
+/// return the encoding.  RLE is chosen only when its pairs take under
+/// half the page; the runs are counted before anything is emitted, so
+/// a plain page is copied into `out` exactly once.  `page` must be a
+/// whole page (size a multiple of 8).
 PageEncoding encode_page(std::span<const std::byte> page,
                          std::vector<std::byte>& out);
 
@@ -35,9 +37,11 @@ PageEncoding encode_page(std::span<const std::byte> page,
 Status decode_page(PageEncoding encoding, std::span<const std::byte> payload,
                    std::span<std::byte> page_out);
 
-/// True if every byte is zero.  Unrolled 64-byte block scan with a
-/// per-block early-out; runs on every page of every incremental (the
-/// X10 bench asserts its throughput).
+/// True if every byte is zero.  Scans 64-byte blocks as four 16-byte
+/// vector loads OR-folded, with a per-block early-out; any length is
+/// accepted (a tail under 64 bytes is scanned by word, then by byte).
+/// Runs on every page of every incremental (the X10 bench asserts its
+/// throughput).
 bool is_zero_page(std::span<const std::byte> page);
 
 }  // namespace ickpt::checkpoint

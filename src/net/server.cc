@@ -315,31 +315,28 @@ class Server::Impl {
 
   // -------------------------------------------------------------- read
 
+  /// Read until EAGAIN, handling the complete frames after every read,
+  /// so a connection buffers at most one read plus one partial frame
+  /// however fast its client streams.
   void on_readable(Conn* conn) {
     std::byte buf[64 * 1024];
-    bool got_any = false;
-    bool eof = false;
     for (;;) {
       const ssize_t got = ::read(conn->fd, buf, sizeof buf);
       if (got < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         close_conn(conn);
         return;
       }
       if (got == 0) {
-        eof = true;
-        break;
+        close_conn(conn);
+        return;
       }
-      got_any = true;
       NetMetrics::get().bytes_in.inc(static_cast<std::uint64_t>(got));
       conn->in.insert(conn->in.end(), buf, buf + got);
-    }
-    if (got_any) {
       conn->last_active_ns = obs::now_ns();
       if (!process_frames(conn)) return;  // conn closed
     }
-    if (eof) close_conn(conn);
   }
 
   /// Parse and handle every complete frame in the input buffer.

@@ -219,6 +219,9 @@ class SegmentReader final : public Reader {
 
 class SegmentBackendImpl final : public SegmentBackend {
  public:
+  /// A record payload given as consecutive pieces.
+  using Parts = std::span<const std::span<const std::byte>>;
+
   SegmentBackendImpl(fs::path dir, SegmentBackendOptions options)
       : dir_(std::move(dir)), options_(options) {}
 
@@ -289,22 +292,24 @@ class SegmentBackendImpl final : public SegmentBackend {
     return s;
   }
 
-  /// Commit one buffered object (Writer::close path).
-  Status commit(const std::string& key, std::span<const std::byte> payload) {
+  /// Commit one buffered object (Writer::close path); its payload is
+  /// `parts`, in order.
+  Status commit(const std::string& key, Parts parts) {
     if (key.empty() || key.size() > kMaxKeyLen) {
       return invalid_argument("bad key length: " + key);
     }
-    const std::uint32_t crc = crc32(payload);
+    Crc32 crc;
+    for (const auto part : parts) crc.update(part.data(), part.size());
     std::lock_guard<std::mutex> lock(mu_);
-    ICKPT_RETURN_IF_ERROR(append_locked(kObject, key, payload, crc));
+    ICKPT_RETURN_IF_ERROR(append_locked(kObject, key, parts, crc.value()));
+    const std::uint64_t len = parts_size(parts);
     auto it = index_.find(key);
     if (it != index_.end()) drop_entry_locked(it);
     // append_locked may have rolled to a fresh segment, so derive the
     // offset from where the record actually landed.
-    index_[key] = IndexEntry{active_, active_end_ - payload.size(),
-                             payload.size(), crc};
-    active_->live_bytes += payload.size();
-    total_.fetch_add(payload.size(), std::memory_order_relaxed);
+    index_[key] = IndexEntry{active_, active_end_ - len, len, crc.value()};
+    active_->live_bytes += len;
+    total_.fetch_add(len, std::memory_order_relaxed);
     return Status::ok();
   }
 
@@ -318,11 +323,49 @@ class SegmentBackendImpl final : public SegmentBackend {
     index_.erase(it);
   }
 
-  /// Append one record to the active segment (rolling/creating it as
-  /// needed) and, when durable, sync it.  Caller holds mu_.
+  /// Writers buffer objects in parts of kPartBytes.  Up to kSpareParts
+  /// emptied parts are kept for reuse: enough for a typical checkpoint
+  /// object (perfbench sage-ickptd's largest is 11.6 MB), while one huge
+  /// object does not stay resident once it is committed.
+  static constexpr std::size_t kPartBytes = 1u << 20;
+  static constexpr std::size_t kSpareParts = 16;
+
+  /// An empty part with kPartBytes of capacity, reused when possible.
+  std::vector<std::byte> take_part() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::byte> part;
+    if (spare_parts_.empty()) {
+      part.reserve(kPartBytes);
+    } else {
+      part = std::move(spare_parts_.back());
+      spare_parts_.pop_back();
+    }
+    return part;
+  }
+
+  /// Keep a closed writer's parts as spares (emptied) and free the rest.
+  void give_back(std::vector<std::vector<std::byte>>& parts) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& part : parts) {
+      if (spare_parts_.size() == kSpareParts) break;
+      part.clear();
+      spare_parts_.push_back(std::move(part));
+    }
+    parts.clear();
+  }
+
+  static std::uint64_t parts_size(Parts parts) {
+    std::uint64_t n = 0;
+    for (const auto part : parts) n += part.size();
+    return n;
+  }
+
+  /// Append one record, whose payload is `parts` in order, to the
+  /// active segment (rolling/creating it as needed) and, when durable,
+  /// sync it.  Caller holds mu_.
   Status append_locked(std::uint8_t type, const std::string& key,
-                       std::span<const std::byte> payload,
-                       std::uint32_t payload_crc) {
+                       Parts parts, std::uint32_t payload_crc) {
+    const std::uint64_t payload_len = parts_size(parts);
     if (active_ == nullptr || active_end_ >= options_.segment_bytes) {
       ICKPT_RETURN_IF_ERROR(seal_active_locked());
       ICKPT_RETURN_IF_ERROR(start_segment_locked());
@@ -330,22 +373,23 @@ class SegmentBackendImpl final : public SegmentBackend {
     RecordHeader h;
     h.type = type;
     h.key_len = static_cast<std::uint32_t>(key.size());
-    h.payload_len = payload.size();
+    h.payload_len = payload_len;
     h.payload_crc = payload_crc;
     h.header_crc = header_crc(h, key);
 
     // One contiguous append: header || key || payload.  Sequential
     // writes only — the whole point of the log structure.
     buf_.clear();
-    buf_.reserve(sizeof h + key.size() +
-                 (payload.size() < (1u << 20) ? payload.size() : 0));
+    buf_.reserve(sizeof h + key.size());
     const auto* hb = reinterpret_cast<const std::byte*>(&h);
     buf_.insert(buf_.end(), hb, hb + sizeof h);
     const auto* kb = reinterpret_cast<const std::byte*>(key.data());
     buf_.insert(buf_.end(), kb, kb + key.size());
     auto st = ioutil::write_full(active_->fd, buf_);
-    if (st.is_ok() && !payload.empty()) {
-      st = ioutil::write_full(active_->fd, payload);
+    for (const auto part : parts) {
+      if (st.is_ok() && !part.empty()) {
+        st = ioutil::write_full(active_->fd, part);
+      }
     }
     if (!st.is_ok()) {
       // The tail is now garbage; the next open()'s scan drops it.  Put
@@ -354,11 +398,10 @@ class SegmentBackendImpl final : public SegmentBackend {
       (void)::lseek(active_->fd, static_cast<off_t>(active_end_), SEEK_SET);
       return st;
     }
-    active_end_ += sizeof h + key.size() + payload.size();
+    active_end_ += sizeof h + key.size() + payload_len;
     active_->record_bytes = active_end_;
-    active_records_.push_back(Rec{type, key,
-                                  active_end_ - payload.size(),
-                                  payload.size(), payload_crc});
+    active_records_.push_back(Rec{type, key, active_end_ - payload_len,
+                                  payload_len, payload_crc});
     unsynced_ = true;
     SegmentMetrics::get().appends.inc();
     if (options_.durable) ICKPT_RETURN_IF_ERROR(sync_active_locked());
@@ -471,6 +514,10 @@ class SegmentBackendImpl final : public SegmentBackend {
   std::uint64_t active_end_ = 0;
   std::vector<Rec> active_records_;
   std::vector<std::byte> buf_;  ///< append/footer scratch (under mu_)
+  /// Emptied parts of closed writers, for later writers to fill again,
+  /// so a stream of objects stops faulting in fresh memory once it has
+  /// seen its largest object.  At most kSpareParts (under mu_).
+  std::vector<std::vector<std::byte>> spare_parts_;
   std::uint64_t next_id_ = 0;
   std::uint64_t torn_records_ = 0;
   bool unsynced_ = false;
@@ -480,6 +527,11 @@ class SegmentBackendImpl final : public SegmentBackend {
 /// Buffers the object, then commits it as one record on close().
 /// Objects are bounded by checkpoint size, which the encode pipeline
 /// already materializes in memory — same cost profile as MemoryWriter.
+/// The buffer is a list of fixed-size parts, not one growing vector:
+/// each byte is copied once, where a doubling vector copies and faults
+/// in two to three times the object.  Parts come from the backend's
+/// spares and go back there on close(), so a steady stream of objects
+/// stops faulting in fresh memory.
 class SegmentBackendImpl::SegmentWriter final : public Writer {
  public:
   SegmentWriter(SegmentBackendImpl& backend, std::string key)
@@ -487,28 +539,36 @@ class SegmentBackendImpl::SegmentWriter final : public Writer {
 
   Status write(std::span<const std::byte> data) override {
     if (closed_) return failed_precondition("write after close");
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    bytes_ += data.size();
+    while (!data.empty()) {
+      if (parts_.empty() || parts_.back().size() == kPartBytes) {
+        parts_.push_back(backend_.take_part());
+      }
+      auto& part = parts_.back();
+      const auto n = std::min(data.size(), kPartBytes - part.size());
+      part.insert(part.end(), data.begin(),
+                  data.begin() + static_cast<std::ptrdiff_t>(n));
+      data = data.subspan(n);
+    }
     return Status::ok();
   }
 
   Status close() override {
     if (closed_) return Status::ok();
     closed_ = true;
-    bytes_ = buf_.size();
-    auto st = backend_.commit(key_, buf_);
-    buf_.clear();
-    buf_.shrink_to_fit();
+    const std::vector<std::span<const std::byte>> parts(parts_.begin(),
+                                                        parts_.end());
+    auto st = backend_.commit(key_, parts);
+    backend_.give_back(parts_);
     return st;
   }
 
-  std::uint64_t bytes_written() const noexcept override {
-    return closed_ ? bytes_ : buf_.size();
-  }
+  std::uint64_t bytes_written() const noexcept override { return bytes_; }
 
  private:
   SegmentBackendImpl& backend_;
   std::string key_;
-  std::vector<std::byte> buf_;
+  std::vector<std::vector<std::byte>> parts_;
   std::uint64_t bytes_ = 0;
   bool closed_ = false;
 };
@@ -698,8 +758,9 @@ Status SegmentBackendImpl::compact() {
         ICKPT_RETURN_IF_ERROR(pread_exact(victim->fd, payload.data(),
                                           payload.size(), r.payload_off,
                                           victim->path));
+        const std::span<const std::byte> whole[] = {payload};
         ICKPT_RETURN_IF_ERROR(
-            append_locked(kObject, r.key, payload, r.payload_crc));
+            append_locked(kObject, r.key, whole, r.payload_crc));
         drop_entry_locked(index_.find(r.key));
         index_[r.key] =
             IndexEntry{active_, active_end_ - r.payload_len, r.payload_len,

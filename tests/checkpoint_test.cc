@@ -11,6 +11,7 @@
 #include "memtrack/explicit_engine.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "tests/counting_backend_fake.h"
 #include "tests/support/faulty_backend.h"
 
 namespace ickpt::checkpoint {
@@ -357,7 +358,9 @@ class LeakyFaultBackend final : public storage::StorageBackend {
 }  // namespace
 
 TEST_F(CheckpointTest, FailedWriteCleansOrphanAndReusesSequence) {
-  auto a = space_.map(8 * page_size(), AreaKind::kHeap, "a");
+  // Large enough that the object takes well over three store writes
+  // even when the writer combines small pieces into 256 KiB ones.
+  auto a = space_.map(512 * page_size(), AreaKind::kHeap, "a");
   ASSERT_TRUE(a.is_ok());
   fill_pattern(a->mem, 5);
   LeakyFaultBackend leaky(*storage_);
@@ -384,6 +387,120 @@ TEST_F(CheckpointTest, FailedWriteCleansOrphanAndReusesSequence) {
   auto state = restore_chain(*storage_, 0);
   ASSERT_TRUE(state.is_ok());
   expect_blocks_equal(*state, space_);
+}
+
+TEST_F(CheckpointTest, StitchCombinesSmallPiecesIntoFewStoreWrites) {
+  // 400 one-page runs: the stitch has a run header and a one-page shard
+  // for each, but hands the store 256 KiB at a time.
+  auto a = space_.map(800 * page_size(), AreaKind::kHeap, "a");
+  ASSERT_TRUE(a.is_ok());
+  fill_pattern(a->mem, 21);
+  storage::CountingBackend counting(*storage_);
+  auto ckpt = Checkpointer::create(space_, &counting).value();
+  ASSERT_TRUE(ckpt->checkpoint_full(0.0).is_ok());
+
+  ASSERT_TRUE(engine_.arm().is_ok());
+  for (std::size_t pg = 0; pg < 800; pg += 2) {
+    auto page = a->mem.subspan(pg * page_size(), page_size());
+    fill_pattern(page, 1000 + pg);
+    engine_.note_write(page.data(), page.size());
+  }
+  auto snap = engine_.collect(true);
+  ASSERT_TRUE(snap.is_ok());
+  const std::uint64_t before = counting.writes();
+  auto meta = ckpt->checkpoint_incremental(*snap, 1.0);
+  ASSERT_TRUE(meta.is_ok());
+  EXPECT_EQ(meta->payload_pages, 400u);
+  const std::uint64_t piece = 256 * 1024;
+  EXPECT_LE(counting.writes() - before,
+            (meta->file_bytes + piece - 1) / piece + 1);
+
+  auto state = restore_chain(*storage_, 0);
+  ASSERT_TRUE(state.is_ok());
+  expect_blocks_equal(*state, space_);
+}
+
+/// Fill one page with content of a seeded kind: zero, one repeated
+/// word, a few word runs, or noise.
+void fill_mixed_page(std::span<std::byte> page, Rng& rng) {
+  auto* words = reinterpret_cast<std::uint64_t*>(page.data());
+  const std::size_t n = page.size() / 8;
+  switch (rng.next_index(4)) {
+    case 0:
+      std::memset(page.data(), 0, page.size());
+      break;
+    case 1: {
+      const std::uint64_t w = rng.next_u64();
+      for (std::size_t i = 0; i < n; ++i) words[i] = w;
+      break;
+    }
+    case 2: {
+      const std::size_t run = 1 + rng.next_index(64);
+      for (std::size_t i = 0; i < n; ++i) words[i] = i / run;
+      break;
+    }
+    default:
+      fill_pattern(page, rng.next_u64());
+  }
+}
+
+TEST_F(CheckpointTest, ObjectBytesMatchGoldenRecord) {
+  // The writer's output is a format contract: every object's size and
+  // whole-object CRC must match the values this exact state produced
+  // when they were recorded.
+  if (page_size() != 4096) GTEST_SKIP() << "golden values assume 4 KiB pages";
+  auto a = space_.map(96 * page_size(), AreaKind::kHeap, "mixed");
+  auto b = space_.map(20 * page_size(), AreaKind::kMmap, "side");
+  ASSERT_TRUE(a.is_ok());
+  ASSERT_TRUE(b.is_ok());
+  Rng rng(2024);
+  for (auto* block : {&a->mem, &b->mem}) {
+    for (std::size_t off = 0; off < block->size(); off += page_size()) {
+      fill_mixed_page(block->subspan(off, page_size()), rng);
+    }
+  }
+  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  ASSERT_TRUE(engine_.arm().is_ok());
+  for (int step = 1; step <= 3; ++step) {
+    for (int r = 0; r < 6; ++r) {
+      auto* block = rng.next_bool(0.75) ? &a->mem : &b->mem;
+      const std::size_t pages = block->size() / page_size();
+      const std::size_t len = 1 + rng.next_index(8);
+      const std::size_t first = rng.next_index(pages - len + 1);
+      for (std::size_t pg = first; pg < first + len; ++pg) {
+        fill_mixed_page(block->subspan(pg * page_size(), page_size()), rng);
+      }
+      engine_.note_write(block->data() + first * page_size(),
+                         len * page_size());
+    }
+    auto snap = engine_.collect(true);
+    ASSERT_TRUE(snap.is_ok());
+    ASSERT_TRUE(ckpt_->checkpoint_incremental(*snap, step).is_ok());
+  }
+
+  struct Golden {
+    std::uint64_t bytes;
+    std::uint32_t crc32;
+  };
+  const Golden golden[] = {{166726, 2490290432u},
+                           {29974, 99171496u},
+                           {23838, 197287104u},
+                           {38742, 3646506240u}};
+  ASSERT_EQ(ckpt_->chain().size(), std::size(golden));
+  for (std::size_t i = 0; i < std::size(golden); ++i) {
+    auto reader = storage_->open(ckpt_->chain()[i].key);
+    ASSERT_TRUE(reader.is_ok());
+    const std::uint64_t size = (*reader)->size();
+    ASSERT_GE(size, sizeof(FileTrailer));
+    FileTrailer trailer;
+    auto got = (*reader)->read_at(
+        size - sizeof trailer,
+        {reinterpret_cast<std::byte*>(&trailer), sizeof trailer});
+    ASSERT_TRUE(got.is_ok());
+    ASSERT_EQ(*got, sizeof trailer);
+    EXPECT_EQ(size, golden[i].bytes) << "object " << i;
+    EXPECT_EQ(trailer.crc32, golden[i].crc32) << "object " << i;
+  }
 }
 
 // ------------------------------------------------------ factory validation

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "checkpoint/checkpointer.h"
@@ -19,6 +20,64 @@ namespace {
 
 std::vector<std::byte> make_page(std::byte fill) {
   return std::vector<std::byte>(page_size(), fill);
+}
+
+/// The encoder as it was before it counted runs first: it emitted RLE
+/// pairs until they stopped paying, then fell back to a copy.  Kept as
+/// the oracle for the encoder's output bytes.
+PageEncoding encode_page_reference(std::span<const std::byte> page,
+                                   std::vector<std::byte>& out) {
+  out.clear();
+  if (is_zero_page(page)) return PageEncoding::kZero;
+  const auto* words = reinterpret_cast<const std::uint64_t*>(page.data());
+  const std::size_t nwords = page.size() / 8;
+  if (nwords * 8 == page.size() && nwords > 0) {
+    std::size_t i = 0;
+    bool profitable = true;
+    while (i < nwords) {
+      std::size_t j = i + 1;
+      while (j < nwords && words[j] == words[i]) ++j;
+      const std::uint64_t pair[2] = {j - i, words[i]};
+      const std::size_t old = out.size();
+      out.resize(old + sizeof pair);
+      std::memcpy(out.data() + old, pair, sizeof pair);
+      i = j;
+      if (out.size() >= page.size()) {
+        profitable = false;
+        break;
+      }
+    }
+    if (profitable && out.size() < page.size() / 2) return PageEncoding::kRle;
+  }
+  out.assign(page.begin(), page.end());
+  return PageEncoding::kPlain;
+}
+
+/// A page of `runs` word runs of near-equal length.
+std::vector<std::byte> page_with_runs(std::size_t runs) {
+  std::vector<std::byte> page(page_size());
+  const std::size_t n = page.size() / 8;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t w = 1 + i * runs / n;
+    std::memcpy(page.data() + i * 8, &w, 8);
+  }
+  return page;
+}
+
+/// encode_page must append exactly what the reference produces, after
+/// whatever `out` already held.
+void expect_matches_reference(const std::vector<std::byte>& page,
+                              PageEncoding want) {
+  std::vector<std::byte> ref;
+  EXPECT_EQ(encode_page_reference(page, ref), want);
+  const std::vector<std::byte> prefix(5, std::byte{0xab});
+  std::vector<std::byte> out = prefix;
+  EXPECT_EQ(encode_page(page, out), want);
+  ASSERT_EQ(out.size(), prefix.size() + ref.size());
+  const auto appended =
+      out.begin() + static_cast<std::ptrdiff_t>(prefix.size());
+  EXPECT_TRUE(std::equal(out.begin(), appended, prefix.begin()));
+  EXPECT_TRUE(std::equal(ref.begin(), ref.end(), appended));
 }
 
 TEST(CompressTest, ZeroPageDetection) {
@@ -113,6 +172,56 @@ TEST(CompressTest, DecodeRejectsMalformedPayloads) {
   // Unknown encoding id.
   EXPECT_EQ(decode_page(static_cast<PageEncoding>(99), {}, page).code(),
             ErrorCode::kCorruption);
+}
+
+TEST(CompressTest, EncoderMatchesReference) {
+  expect_matches_reference(make_page(std::byte{0}), PageEncoding::kZero);
+  expect_matches_reference(make_page(std::byte{0x42}), PageEncoding::kRle);
+  std::vector<std::byte> random(page_size());
+  Rng rng(11);
+  for (auto& b : random) b = static_cast<std::byte>(rng.next_u64());
+  expect_matches_reference(random, PageEncoding::kPlain);
+}
+
+TEST(CompressTest, EncoderMatchesReferenceAtRunCountEdges) {
+  if (page_size() != 4096) GTEST_SKIP() << "run edges assume 4 KiB pages";
+  // RLE pays below 128 runs (128 pairs fill half the page).
+  for (std::size_t runs : {1u, 126u, 127u}) {
+    SCOPED_TRACE(runs);
+    expect_matches_reference(page_with_runs(runs), PageEncoding::kRle);
+  }
+  for (std::size_t runs : {128u, 129u, 512u}) {
+    SCOPED_TRACE(runs);
+    expect_matches_reference(page_with_runs(runs), PageEncoding::kPlain);
+  }
+}
+
+TEST(CompressTest, ZeroScanSeesEveryByte) {
+  auto page = make_page(std::byte{0});
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    page[i] = std::byte{0x80};
+    ASSERT_FALSE(is_zero_page(page)) << "byte " << i;
+    page[i] = std::byte{0};
+  }
+  EXPECT_TRUE(is_zero_page(page));
+}
+
+TEST(CompressTest, ZeroScanHandlesSpansOffTheBlockSize) {
+  std::vector<std::byte> buf(200, std::byte{0});
+  for (std::size_t len : {0u, 1u, 7u, 8u, 63u, 65u, 71u, 72u, 130u, 199u}) {
+    SCOPED_TRACE(len);
+    const std::span<const std::byte> span(buf.data(), len);
+    EXPECT_TRUE(is_zero_page(span));
+    for (std::size_t i = 0; i < len; ++i) {
+      buf[i] = std::byte{1};
+      EXPECT_FALSE(is_zero_page(span)) << "byte " << i;
+      buf[i] = std::byte{0};
+    }
+    // A nonzero byte just past the span is not part of it.
+    buf[len] = std::byte{1};
+    EXPECT_TRUE(is_zero_page(span));
+    buf[len] = std::byte{0};
+  }
 }
 
 TEST(CompressTest, CheckpointOfSparseBlockShrinks) {

@@ -1,7 +1,8 @@
 // Test fake: a pass-through storage decorator that counts the opens
-// it serves and the bytes its readers return from read() and
-// read_at().  Lets tests hold restore's own counters and its open
-// budget to what the store actually served.
+// it serves, the bytes its readers return from read() and read_at(),
+// and the write() calls its writers take.  Lets tests hold restore's
+// own counters and its open budget to what the store actually served,
+// and the checkpoint writer to the calls it hands the store.
 #pragma once
 
 #include <atomic>
@@ -19,7 +20,10 @@ class CountingBackend : public StorageBackend {
   explicit CountingBackend(StorageBackend& inner) : inner_(inner) {}
 
   Result<std::unique_ptr<Writer>> create(const std::string& key) override {
-    return inner_.create(key);
+    auto w = inner_.create(key);
+    if (!w.is_ok()) return w.status();
+    return {std::unique_ptr<Writer>(
+        new CountingWriter(std::move(*w), writes_))};
   }
   Result<std::unique_ptr<Reader>> open(const std::string& key) override {
     auto r = inner_.open(key);
@@ -37,8 +41,28 @@ class CountingBackend : public StorageBackend {
 
   std::uint64_t opens() const noexcept { return opens_.load(); }
   std::uint64_t bytes_served() const noexcept { return bytes_served_.load(); }
+  std::uint64_t writes() const noexcept { return writes_.load(); }
 
  private:
+  class CountingWriter : public Writer {
+   public:
+    CountingWriter(std::unique_ptr<Writer> inner,
+                   std::atomic<std::uint64_t>& writes)
+        : inner_(std::move(inner)), writes_(writes) {}
+    Status write(std::span<const std::byte> data) override {
+      writes_.fetch_add(1, std::memory_order_relaxed);
+      return inner_->write(data);
+    }
+    Status close() override { return inner_->close(); }
+    std::uint64_t bytes_written() const noexcept override {
+      return inner_->bytes_written();
+    }
+
+   private:
+    std::unique_ptr<Writer> inner_;
+    std::atomic<std::uint64_t>& writes_;
+  };
+
   class CountingReader : public Reader {
    public:
     CountingReader(std::unique_ptr<Reader> inner,
@@ -69,6 +93,7 @@ class CountingBackend : public StorageBackend {
   StorageBackend& inner_;
   std::atomic<std::uint64_t> opens_{0};
   std::atomic<std::uint64_t> bytes_served_{0};
+  std::atomic<std::uint64_t> writes_{0};
 };
 
 }  // namespace ickpt::storage

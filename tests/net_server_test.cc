@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -122,10 +124,74 @@ class RawClient {
   int fd_ = -1;
 };
 
+/// Served store that measures the daemon's intake: at every write it
+/// takes, it records how far `net.bytes_in` (counted from `arm()`) ran
+/// ahead of the bytes handed to the store so far.
+class IntakeLagBackend final : public storage::StorageBackend {
+ public:
+  void arm() {
+    base_ = bytes_in_.value();
+    handed_ = 0;
+    max_lag_ = 0;
+  }
+  std::uint64_t max_lag() const { return max_lag_.load(); }
+  std::uint64_t handed() const { return handed_.load(); }
+
+  Result<std::unique_ptr<storage::Writer>> create(
+      const std::string& key) override {
+    auto w = inner_->create(key);
+    if (!w.is_ok()) return w.status();
+    return std::unique_ptr<storage::Writer>(
+        new LagWriter(std::move(*w), this));
+  }
+  Result<std::unique_ptr<storage::Reader>> open(
+      const std::string& key) override {
+    return inner_->open(key);
+  }
+  Status remove(const std::string& key) override {
+    return inner_->remove(key);
+  }
+  Result<std::vector<std::string>> list() override { return inner_->list(); }
+  bool exists(const std::string& key) override { return inner_->exists(key); }
+  std::uint64_t total_bytes_stored() const noexcept override {
+    return inner_->total_bytes_stored();
+  }
+
+ private:
+  class LagWriter final : public storage::Writer {
+   public:
+    LagWriter(std::unique_ptr<storage::Writer> inner, IntakeLagBackend* owner)
+        : inner_(std::move(inner)), owner_(owner) {}
+    Status write(std::span<const std::byte> data) override {
+      const std::uint64_t handed = owner_->handed_ += data.size();
+      const std::uint64_t in = owner_->bytes_in_.value() - owner_->base_.load();
+      if (in > handed && in - handed > owner_->max_lag_) {
+        owner_->max_lag_ = in - handed;
+      }
+      return inner_->write(data);
+    }
+    Status close() override { return inner_->close(); }
+    std::uint64_t bytes_written() const noexcept override {
+      return inner_->bytes_written();
+    }
+
+   private:
+    std::unique_ptr<storage::Writer> inner_;
+    IntakeLagBackend* owner_;
+  };
+
+  std::unique_ptr<storage::StorageBackend> inner_ =
+      storage::make_memory_backend();
+  obs::Counter& bytes_in_ = obs::registry().counter("net.bytes_in");
+  std::atomic<std::uint64_t> base_{0};
+  std::atomic<std::uint64_t> handed_{0};
+  std::atomic<std::uint64_t> max_lag_{0};
+};
+
 class NetServerTest : public ::testing::Test {
  protected:
   void start(ServerOptions options = {}) {
-    backend_ = storage::make_memory_backend();
+    if (backend_ == nullptr) backend_ = storage::make_memory_backend();
     auto server = Server::create(*backend_, options);
     ASSERT_TRUE(server.is_ok()) << server.status().message();
     server_ = std::move(server.value());
@@ -413,6 +479,28 @@ TEST_F(NetServerTest, BackpressurePumpsLargeGetThroughTinyWindow) {
   ASSERT_TRUE(n.is_ok()) << n.status().message();
   EXPECT_EQ(*n, payload.size());
   EXPECT_EQ(got, payload);
+}
+
+TEST_F(NetServerTest, IntakeStoresFramesAsTheyArrive) {
+  // A client streaming a large PUT as fast as the socket allows must not
+  // make the daemon buffer the object: each frame reaches the store
+  // once it is complete, so the intake runs ahead of the store by at
+  // most one read (64 KiB) plus one partial frame.
+  auto owned = std::make_unique<IntakeLagBackend>();
+  IntakeLagBackend& lag = *owned;
+  backend_ = std::move(owned);
+  start();
+  lag.arm();
+  auto remote = storage::make_remote_backend(remote_options());
+  ASSERT_TRUE(remote.is_ok());
+
+  const auto payload = pattern_bytes(32u << 20, 17);
+  auto writer = (*remote)->create("stream");
+  ASSERT_TRUE(writer.is_ok());
+  ASSERT_TRUE((*writer)->write(payload).is_ok());
+  ASSERT_TRUE((*writer)->close().is_ok());
+  EXPECT_EQ(lag.handed(), payload.size());
+  EXPECT_LT(lag.max_lag(), 64 * 1024 + kChunkSize + kFrameHeaderSize);
 }
 
 TEST_F(NetServerTest, IdleConnectionsAreReaped) {

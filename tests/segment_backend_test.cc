@@ -12,6 +12,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checkpoint/checkpointer.h"
@@ -94,6 +95,55 @@ TEST_F(SegmentBackendTest, SurvivesReopenViaFooter) {
   EXPECT_EQ(read_all(**b, "alpha"), "first object, rewritten");
   EXPECT_EQ(read_all(**b, "beta"), "second object");
   EXPECT_EQ((*b)->stats().live_objects, 2u);
+  EXPECT_EQ((*b)->stats().torn_records, 0u);
+}
+
+TEST_F(SegmentBackendTest, ObjectsWrittenInManyPiecesSurviveReopen) {
+  // Over 3 MiB in uneven writes, so the writer's buffer spans several
+  // parts and no write lines up with a part boundary; then a smaller
+  // object that refills the first object's reused parts.
+  auto pattern = [](std::size_t size, std::uint64_t seed) {
+    std::vector<std::byte> out(size);
+    Rng rng(seed);
+    for (auto& b : out) b = static_cast<std::byte>(rng.next_u64());
+    return out;
+  };
+  const std::vector<std::pair<std::string, std::vector<std::byte>>> objects =
+      {{"big", pattern((3u << 20) + 5, 41)},
+       {"next", pattern((1u << 20) + 77, 42)}};
+  auto expect_stored = [&](StorageBackend& backend) {
+    for (const auto& [key, payload] : objects) {
+      auto reader = backend.open(key);
+      ASSERT_TRUE(reader.is_ok()) << reader.status().message();
+      ASSERT_EQ((*reader)->size(), payload.size());
+      std::vector<std::byte> got(payload.size());
+      auto n = (*reader)->read_at(0, got);
+      ASSERT_TRUE(n.is_ok());
+      ASSERT_EQ(*n, payload.size());
+      EXPECT_EQ(got, payload) << key;
+    }
+  };
+  {
+    auto b = open();
+    ASSERT_TRUE(b.is_ok()) << b.status().message();
+    for (const auto& [key, payload] : objects) {
+      auto w = (*b)->create(key);
+      ASSERT_TRUE(w.is_ok());
+      std::span<const std::byte> rest(payload);
+      while (!rest.empty()) {
+        const std::size_t n = std::min<std::size_t>(rest.size(), 300001);
+        ASSERT_TRUE((*w)->write(rest.first(n)).is_ok());
+        rest = rest.subspan(n);
+      }
+      EXPECT_EQ((*w)->bytes_written(), payload.size());
+      ASSERT_TRUE((*w)->close().is_ok());
+      EXPECT_EQ((*w)->bytes_written(), payload.size());
+    }
+    expect_stored(**b);
+  }
+  auto b = open();
+  ASSERT_TRUE(b.is_ok()) << b.status().message();
+  expect_stored(**b);
   EXPECT_EQ((*b)->stats().torn_records, 0u);
 }
 

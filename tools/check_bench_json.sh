@@ -101,6 +101,18 @@ for f in "$@"; do
       status=1
       continue
     fi
+    # Compression must stay cheap next to a raw encode of the same
+    # pages: at most 2x on one thread.  Quick records (one small rep)
+    # are too noisy to hold to it.
+    if ! jq -e '
+        .quick or
+        (([.arms[] | select(.name == "t1_compress_sync")] | first | .wall_s)
+         <= 2 * ([.arms[] | select(.name == "t1_raw_sync")] | first | .wall_s))
+        ' "$f" > /dev/null; then
+      echo "FAIL $f: t1_compress_sync above 2x t1_raw_sync" >&2
+      status=1
+      continue
+    fi
   fi
   # X9 (bench "restore") must carry the file and segment chain arms,
   # and where it has the 1+0 chain (not in quick mode), the planned
