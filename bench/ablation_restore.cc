@@ -5,13 +5,18 @@
 // reference (parse everything, overlay in memory), the planned
 // pipeline with one decode thread, and the planned pipeline with a
 // worker pool — and reports wall time, restored throughput and how
-// many pages the plan decoded vs skipped as superseded.  Byte identity
+// many pages the plan decoded vs skipped as superseded.  Store-backed
+// arms restore from a file store, a segment store, and a segment store
+// served by an in-process ickptd core through RemoteBackend, where
+// every probe and decode read is a loopback round trip.  Byte identity
 // against the serial restorer is asserted on every configuration.
 #include "bench/bench_util.h"
 
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
+#include <thread>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/restore.h"
@@ -19,7 +24,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "memtrack/explicit_engine.h"
+#include "net/remote_backend.h"
+#include "net/server.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
 #include "storage/segment_backend.h"
@@ -140,7 +148,7 @@ int main(int argc, char** argv) {
 
   const std::size_t mb =
       mb_flag > 0 ? static_cast<std::size_t>(mb_flag) : (args.quick ? 8 : 32);
-  const int reps = reps_flag > 0 ? reps_flag : (args.quick ? 1 : 3);
+  const int reps = reps_flag > 0 ? reps_flag : (args.quick ? 1 : 9);
   const std::vector<int> chain_sweep =
       args.quick ? std::vector<int>{3, 7} : std::vector<int>{0, 3, 7, 15, 31};
   const int pool_threads =
@@ -154,6 +162,10 @@ int main(int argc, char** argv) {
   table.set_header({"Chain", "Variant", "Seconds", "MB/s", "Decoded",
                     "Skipped", "Speedup vs serial"});
 
+  // The largest arm (the remote 1+31 chain, 9 restores) emits about
+  // 130,000 trace events; the ring must hold a whole arm, or its phase
+  // rollup silently loses spans.
+  obs::start_tracing(std::size_t{1} << 18);
   BenchJson bench_json("restore", args);
   const std::uint64_t arm_bytes =
       static_cast<std::uint64_t>(mb) * kMB * static_cast<std::uint64_t>(reps);
@@ -218,38 +230,47 @@ int main(int argc, char** argv) {
                           2)});
     }
   }
-  // Store-backed arms: the same shape of chain on a real filesystem and
-  // in the log-structured segment store, decoded by the pool through
-  // read_at.  Byte identity against the serial restorer is asserted as
-  // above.
-  const int store_incrementals = args.quick ? 3 : 7;
-  const std::string store_label = "1+" + std::to_string(store_incrementals);
-  auto store_arm = [&](const std::string& kind,
-                       storage::StorageBackend& store) {
-    build_chain(store, mb, store_incrementals, rng);
+  // Store-backed arms: the same shape of chain on a real filesystem, in
+  // the log-structured segment store, and in a segment store behind an
+  // in-process ickptd core, decoded through read_at.  Byte identity
+  // against the serial restorer is asserted as above.
+  struct StoreVariant {
+    const char* suffix;  ///< of the arm name
+    const char* label;   ///< table row
+    int threads;
+  };
+  auto store_arms = [&](const std::string& kind,
+                        storage::StorageBackend& store, int incrementals,
+                        std::initializer_list<StoreVariant> store_variants) {
+    const std::string label = "1+" + std::to_string(incrementals);
+    build_chain(store, mb, incrementals, rng);
     auto reference = checkpoint::restore_chain_serial(store, 0);
     if (!reference.is_ok()) std::exit(1);
-    checkpoint::RestoreOptions opts;
-    opts.decode_threads = pool_threads;
-    Timed t;
-    bench_json.run_arm(kind + "_chain" + store_label + "_read", arm_bytes, [&] {
-      t = time_restore(
-          [&] {
-            auto s = checkpoint::restore_chain(store, 0, opts);
-            if (!s.is_ok()) std::exit(1);
-            if (!states_identical(*reference, *s)) {
-              std::cerr << "BYTE IDENTITY FAILED: " << kind << "-backed\n";
-              std::exit(1);
-            }
-          },
-          reps);
-    });
-    table.add_row({store_label + " (" + kind + ")", "read decode",
-                   TextTable::num(t.seconds, 4),
-                   TextTable::num(static_cast<double>(mb) / t.seconds, 0),
-                   TextTable::num(static_cast<double>(t.decoded), 0),
-                   TextTable::num(static_cast<double>(t.skipped), 0), "-"});
+    for (const StoreVariant& v : store_variants) {
+      checkpoint::RestoreOptions opts;
+      opts.decode_threads = v.threads;
+      Timed t;
+      bench_json.run_arm(kind + "_chain" + label + v.suffix, arm_bytes, [&] {
+        t = time_restore(
+            [&] {
+              auto s = checkpoint::restore_chain(store, 0, opts);
+              if (!s.is_ok()) std::exit(1);
+              if (!states_identical(*reference, *s)) {
+                std::cerr << "BYTE IDENTITY FAILED: " << kind << "-backed "
+                          << v.label << "\n";
+                std::exit(1);
+              }
+            },
+            reps);
+      });
+      table.add_row({label + " (" + kind + ")", v.label,
+                     TextTable::num(t.seconds, 4),
+                     TextTable::num(static_cast<double>(mb) / t.seconds, 0),
+                     TextTable::num(static_cast<double>(t.decoded), 0),
+                     TextTable::num(static_cast<double>(t.skipped), 0), "-"});
+    }
   };
+  const int store_incrementals = args.quick ? 3 : 7;
   {
     const std::string dir = "ablation_restore_chain";
     std::filesystem::remove_all(dir);
@@ -259,7 +280,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    store_arm("file", **file_backend);
+    store_arms("file", **file_backend, store_incrementals,
+               {{"_read", "read decode", pool_threads},
+                {"_planned_1t", "planned 1T", 1}});
     std::filesystem::remove_all(dir);
   }
   {
@@ -271,7 +294,39 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    store_arm("segment", **seg_backend);
+    store_arms("segment", **seg_backend, store_incrementals,
+               {{"_read", "read decode", pool_threads}});
+    seg_backend->reset();
+    std::filesystem::remove_all(dir);
+  }
+  {
+    const std::string dir = "ablation_restore_remote";
+    std::filesystem::remove_all(dir);
+    auto seg_backend = storage::make_segment_backend(dir);
+    if (!seg_backend.is_ok()) {
+      std::cerr << "segment backend: " << seg_backend.status().to_string()
+                << "\n";
+      return 1;
+    }
+    auto server = net::Server::create(**seg_backend);
+    if (!server.is_ok()) {
+      std::cerr << "server: " << server.status().to_string() << "\n";
+      return 1;
+    }
+    std::thread serve([&] { (void)(*server)->serve(); });
+    storage::RemoteBackendOptions options;
+    options.port = (*server)->port();
+    auto remote = storage::make_remote_backend(options);
+    if (!remote.is_ok()) {
+      std::cerr << "connect: " << remote.status().to_string() << "\n";
+      return 1;
+    }
+    store_arms("remote", **remote, args.quick ? 7 : 31,
+               {{"_planned_1t", "planned 1T", 1},
+                {"_planned_pool", "planned pool", pool_threads}});
+    remote->reset();
+    (*server)->stop();
+    serve.join();
     seg_backend->reset();
     std::filesystem::remove_all(dir);
   }

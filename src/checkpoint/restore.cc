@@ -33,8 +33,11 @@ struct RestoreMetrics {
   obs::Counter& bytes_read;
   obs::Counter& truncated_tails;
   obs::Histogram& plan_ns;
+  obs::Histogram& probe_ns;
   obs::Histogram& decode_ns;
   std::uint16_t t_plan;         ///< "restore.plan" span
+  std::uint16_t t_list;         ///< "restore.list" span (in the plan)
+  std::uint16_t t_probe;        ///< "restore.probe" span (in the plan)
   std::uint16_t t_decode_read;  ///< "restore.decode_read" span
   std::uint16_t t_fail;         ///< "restore.fail" instant
 
@@ -47,8 +50,13 @@ struct RestoreMetrics {
                             r.counter("restore.bytes_read"),
                             r.counter("restore.truncated_tails"),
                             r.histogram("restore.plan_ns"),
+                            r.histogram("restore.probe_ns"),
                             r.histogram("restore.decode_ns"),
                             obs::trace_name("restore.plan",
+                                            obs::TraceCat::kRestore),
+                            obs::trace_name("restore.list",
+                                            obs::TraceCat::kRestore),
+                            obs::trace_name("restore.probe",
                                             obs::TraceCat::kRestore),
                             obs::trace_name("restore.decode_read",
                                             obs::TraceCat::kRestore),
@@ -474,8 +482,9 @@ bool parse_key_sequence(const std::string& key, std::uint64_t* seq) {
 struct Candidate {
   std::uint64_t sequence = 0;
   bool header_ok = false;
-  ObjectIndex object;   ///< header always; index when at or below upto
-  Status index_status;  ///< why the index is unusable
+  ObjectIndex object;    ///< header always; index when at or below upto
+  Status header_status;  ///< why the header is unusable
+  Status index_status;   ///< why the index is unusable
 };
 
 /// Open one object and read its header; when it is at or below `upto`,
@@ -497,6 +506,32 @@ Status probe(storage::StorageBackend& storage, std::uint64_t upto,
   if (c.sequence <= upto) c.index_status = read_index(**reader, obj);
   return Status::ok();
 }
+
+/// The worker threads of one restore_chain call: the pool is built on
+/// first use and kept until the call returns, so tolerant retries reuse
+/// it.  Work that needs one thread runs inline on the caller.
+class Workers {
+ public:
+  explicit Workers(std::size_t threads) : threads_(threads) {}
+
+  /// Run `worker` on min(tasks, threads) threads at once and wait for
+  /// all of them; `worker` hands out the tasks from a shared cursor.
+  template <typename F>
+  void run(std::size_t tasks, F& worker) {
+    const std::size_t n = std::min(tasks, threads_);
+    if (n <= 1) {
+      worker();
+      return;
+    }
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
+    for (std::size_t w = 0; w < n; ++w) pool_->submit([&worker] { worker(); });
+    pool_->wait_idle();
+  }
+
+ private:
+  std::size_t threads_;
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 // ===================================================================
 // Decode: read the winning chunks, verify, decode.
@@ -572,7 +607,7 @@ Status decode_read(storage::Reader& in, const ObjectIndex& obj,
 /// *failed_seq so the caller can retry below it.
 Result<RestoredState> attempt(storage::StorageBackend& storage,
                               std::uint32_t rank, std::uint64_t upto,
-                              int threads, bool truncate_tail,
+                              Workers& workers, bool truncate_tail,
                               std::uint64_t* failed_seq,
                               bool* have_failed_seq) {
   auto& metrics = RestoreMetrics::get();
@@ -584,33 +619,49 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
     return st;
   };
 
-  auto keys = storage.list();
-  if (!keys.is_ok()) return keys.status();
-  const std::string prefix = "rank" + std::to_string(rank) + "/";
-  std::vector<std::string> chain_keys;
-  for (const auto& k : *keys) {
-    if (k.rfind(prefix, 0) == 0) chain_keys.push_back(k);
+  std::vector<Candidate> probed;
+  {
+    obs::TraceSpan list_span(metrics.t_list);
+    auto keys = storage.list();
+    if (!keys.is_ok()) return keys.status();
+    const std::string prefix = "rank" + std::to_string(rank) + "/";
+    for (const auto& k : *keys) {
+      if (k.rfind(prefix, 0) == 0) probed.emplace_back().object.key = k;
+    }
+    list_span.end(keys->size(), probed.size());
   }
-  if (chain_keys.empty()) {
+  if (probed.empty()) {
     return not_found("no checkpoints for rank " + std::to_string(rank));
   }
 
-  // ---- Probe: place every object in the chain by sequence, and read
-  // the index of every object at or below upto.
+  // ---- Probe, on the workers: place every object in the chain by
+  // sequence, and read the index of every object at or below upto.
+  {
+    obs::ScopedTimer probe_timer(metrics.probe_ns);
+    obs::TraceSpan probe_span(metrics.t_probe, probed.size());
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+      for (std::size_t i = next.fetch_add(1); i < probed.size();
+           i = next.fetch_add(1)) {
+        probed[i].header_status = probe(storage, upto, probed[i]);
+      }
+    };
+    workers.run(probed.size(), worker);
+  }
+
+  // Judge the probes in key order, so every error and tolerant-mode
+  // decision is the one a serial probe would make.
   std::vector<Candidate> cands;
-  cands.reserve(chain_keys.size());
-  for (const auto& k : chain_keys) {
-    Candidate c;
-    c.object.key = k;
-    const Status h = probe(storage, upto, c);
-    if (!c.header_ok && !parse_key_sequence(k, &c.sequence)) {
+  cands.reserve(probed.size());
+  for (Candidate& c : probed) {
+    if (!c.header_ok && !parse_key_sequence(c.object.key, &c.sequence)) {
       // Unreadable header and unparseable key: the object cannot even
       // be placed in the chain.
-      if (!truncate_tail) return h;
+      if (!truncate_tail) return c.header_status;
       continue;  // orphan; fsck --repair quarantines these
     }
     if (c.sequence > upto) continue;  // header only, never indexed
-    if (!c.header_ok && !truncate_tail) return h;
+    if (!c.header_ok && !truncate_tail) return c.header_status;
     cands.push_back(std::move(c));
   }
   if (cands.empty()) {
@@ -820,15 +871,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
                                    : open_status;
     }
   };
-  const std::size_t workers =
-      std::min(reads.size(), static_cast<std::size_t>(std::max(1, threads)));
-  if (workers > 1) {
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.submit(worker);
-    pool.wait_idle();
-  } else {
-    worker();
-  }
+  workers.run(reads.size(), worker);
   decode_timer.stop();
 
   // ---- Surface failures oldest object first, so a tolerant retry
@@ -866,15 +909,14 @@ Result<CheckpointFile> read_checkpoint_file(storage::StorageBackend& storage,
 Result<RestoredState> restore_chain(storage::StorageBackend& storage,
                                     std::uint32_t rank,
                                     const RestoreOptions& options) {
-  int threads = options.decode_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(ThreadPool::hardware_threads());
-  }
+  Workers workers(options.decode_threads > 0
+                      ? static_cast<std::size_t>(options.decode_threads)
+                      : ThreadPool::hardware_threads());
   std::uint64_t upto = options.upto;
   for (;;) {
     std::uint64_t failed_seq = 0;
     bool have_failed_seq = false;
-    auto state = attempt(storage, rank, upto, threads,
+    auto state = attempt(storage, rank, upto, workers,
                          options.allow_truncated_tail, &failed_seq,
                          &have_failed_seq);
     if (state.is_ok()) return state;

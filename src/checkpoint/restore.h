@@ -4,14 +4,15 @@
 // restore_chain runs a two-phase plan-then-decode pipeline over the
 // v3 chunk index (format.h):
 //   phase 1 (plan)   — per object, one open and three read_at calls
-//                      (header, trailer, index); the index CRC covers
-//                      the header and the index.  Pick the seed full
+//                      (header, trailer, index), the objects spread
+//                      over the worker pool; the index CRC covers the
+//                      header and the index.  Pick the seed full
 //                      checkpoint, validate parent links, and map each
 //                      surviving (block, page) to the one chunk that
 //                      last wrote it;
 //   phase 2 (decode) — read only the chunks holding such a winning
 //                      page, merged per object into reads of at most
-//                      1 MiB and spread over a thread pool; check each
+//                      1 MiB and spread over the same pool; check each
 //                      chunk's CRC and decode its winning pages straight
 //                      into a fresh anonymous mapping per surviving
 //                      block.  The kernel zeroed those mappings, so a
@@ -91,9 +92,11 @@ struct RestoreOptions {
   /// ending in a valid object instead of failing.  The default is
   /// strict: any damage in the live range is kCorruption.
   bool allow_truncated_tail = false;
-  /// Worker threads for page decoding; <= 1 decodes inline on the
-  /// calling thread, 0 picks the hardware thread count.  The restored
-  /// bytes are identical either way.
+  /// Worker threads for the probe (header, trailer and index of each
+  /// object) and for page decoding; 1 runs both inline on the calling
+  /// thread, 0 picks the hardware thread count.  One pool serves the
+  /// whole call, tolerant retries included.  The restored bytes and
+  /// every error are identical either way.
   int decode_threads = 0;
 };
 

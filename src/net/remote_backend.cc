@@ -91,6 +91,12 @@ class Connection {
   }
 
   Result<Frame> recv() {
+    ICKPT_ASSIGN_OR_RETURN(header, recv_header());
+    return recv_payload(header);
+  }
+
+  /// The next frame's header; its payload is still on the socket.
+  Result<net::FrameHeader> recv_header() {
     std::byte header_bytes[net::kFrameHeaderSize];
     ICKPT_ASSIGN_OR_RETURN(
         got, checked(ioutil::read_full(fd_, header_bytes)));
@@ -100,22 +106,28 @@ class Connection {
     }
     auto header = net::decode_frame_header(
         std::span<const std::byte, net::kFrameHeaderSize>(header_bytes));
-    if (!header.is_ok()) {
-      healthy_ = false;
-      return header.status();
-    }
+    if (!header.is_ok()) healthy_ = false;
+    return header;
+  }
+
+  /// The payload of the frame `header` began, as a whole frame.
+  Result<Frame> recv_payload(const net::FrameHeader& header) {
     Frame frame;
-    frame.header = *header;
-    frame.payload.resize(header->len);
-    if (header->len > 0) {
-      ICKPT_ASSIGN_OR_RETURN(body,
-                             checked(ioutil::read_full(fd_, frame.payload)));
-      if (body < frame.payload.size()) {
-        healthy_ = false;
-        return io_error("server closed mid-frame");
-      }
-    }
+    frame.header = header;
+    frame.payload.resize(header.len);
+    ICKPT_RETURN_IF_ERROR(recv_into(frame.payload));
     return frame;
+  }
+
+  /// Exactly out.size() payload bytes, straight into `out`.
+  Status recv_into(std::span<std::byte> out) {
+    if (out.empty()) return Status::ok();
+    ICKPT_ASSIGN_OR_RETURN(got, checked(ioutil::read_full(fd_, out)));
+    if (got < out.size()) {
+      healthy_ = false;
+      return io_error("server closed mid-frame");
+    }
+    return Status::ok();
   }
 
   /// Decode an ERR frame into the Status the server meant.
@@ -241,16 +253,18 @@ class RemoteBackend final : public StorageBackend {
           Verb::kGet, net::build_get({key, offset, out.size()})));
       std::size_t filled = 0;
       for (;;) {
-        ICKPT_ASSIGN_OR_RETURN(reply, conn->recv());
-        if (reply.header.verb == Verb::kData) {
-          if (filled + reply.payload.size() > out.size()) {
+        ICKPT_ASSIGN_OR_RETURN(header, conn->recv_header());
+        if (header.verb == Verb::kData) {
+          // DATA payloads land in `out` itself, never in a frame buffer.
+          if (header.len > out.size() - filled) {
             return conn->protocol_violation("DATA overruns the GET range");
           }
-          std::memcpy(out.data() + filled, reply.payload.data(),
-                      reply.payload.size());
-          filled += reply.payload.size();
+          ICKPT_RETURN_IF_ERROR(
+              conn->recv_into(out.subspan(filled, header.len)));
+          filled += header.len;
           continue;
         }
+        ICKPT_ASSIGN_OR_RETURN(reply, conn->recv_payload(header));
         if (reply.header.verb == Verb::kDataEnd) return filled;
         if (reply.header.verb == Verb::kErr) {
           // The stream died mid-body; the connection's framing state

@@ -102,6 +102,15 @@ Status set_nonblocking(int fd) {
   return Status::ok();
 }
 
+/// Write the header of a frame carrying `len` payload bytes at `at`.
+void put_frame_header(std::byte* at, Verb verb, std::size_t len) {
+  FrameHeader h;
+  h.len = static_cast<std::uint32_t>(len);
+  h.verb = verb;
+  encode_frame_header(
+      h, std::span<std::byte, kFrameHeaderSize>(at, kFrameHeaderSize));
+}
+
 /// One client connection's state machine.
 struct Conn {
   int fd = -1;
@@ -602,19 +611,24 @@ class Server::Impl {
 
   /// Stream DATA frames while the unsent queue is under the in-flight
   /// cap; on cap, pumping resumes from on_writable as bytes drain.
-  /// Returns false when the connection was closed.
+  /// Each chunk is read straight into its frame, and the frame that
+  /// completes the body carries DATA_END behind it, so both leave in
+  /// one send.  Returns false when the connection was closed.
   bool pump_get(Conn* conn) {
-    std::vector<std::byte> buf;
     while (conn->get_active()) {
       if (conn->get_left == 0) return finish_get(conn, Status::ok());
       if (conn->out_queued >= options_.max_inflight_bytes) return true;
       const std::size_t want = static_cast<std::size_t>(
           std::min<std::uint64_t>(conn->get_left, kChunkSize));
-      buf.resize(want);
-      Result<std::size_t> got = conn->get_ranged
-                                    ? conn->get_reader->read_at(
-                                          conn->get_next, buf)
-                                    : conn->get_reader->read(buf);
+      const bool last = want == conn->get_left;
+      std::vector<std::byte> frame(kFrameHeaderSize + want +
+                                   (last ? kFrameHeaderSize : 0));
+      const std::span<std::byte> chunk(frame.data() + kFrameHeaderSize,
+                                       want);
+      Result<std::size_t> got =
+          conn->get_ranged
+              ? conn->get_reader->read_at(conn->get_next, chunk)
+              : conn->get_reader->read(chunk);
       if (!got.is_ok()) return finish_get(conn, got.status());
       if (*got == 0) {
         // Object shorter than its own size() promised: damage.
@@ -624,18 +638,32 @@ class Server::Impl {
       conn->get_next += *got;
       conn->get_left -= *got;
       conn->get_sent += *got;
-      if (!send_frame(conn, Verb::kData, {buf.data(), *got})) return false;
+      put_frame_header(frame.data(), Verb::kData, *got);
+      std::size_t size = kFrameHeaderSize + *got;
+      if (conn->get_left == 0) {
+        put_frame_header(frame.data() + size, Verb::kDataEnd, 0);
+        size += kFrameHeaderSize;
+        end_get(conn);
+      }
+      frame.resize(size);
+      if (!queue_frame(conn, std::move(frame))) return false;
     }
     return true;
   }
 
-  /// Close out a GET stream: DATA_END on success, ERR on failure.
-  bool finish_get(Conn* conn, const Status& st) {
-    auto& m = NetMetrics::get();
+  /// The GET stream's bookkeeping once its last body byte is queued.
+  void end_get(Conn* conn) {
     conn->get_reader.reset();
     obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kEnd,
                     static_cast<std::uint64_t>(conn->fd), conn->get_sent);
-    if (obs::enabled()) m.get_ns.record(obs::now_ns() - conn->get_t0);
+    if (obs::enabled()) {
+      NetMetrics::get().get_ns.record(obs::now_ns() - conn->get_t0);
+    }
+  }
+
+  /// Close out a GET stream: DATA_END on success, ERR on failure.
+  bool finish_get(Conn* conn, const Status& st) {
+    end_get(conn);
     if (!st.is_ok()) {
       // Mid-stream failure: the client has partial DATA, so the
       // stream cannot be completed coherently — report and hang up.
@@ -664,10 +692,14 @@ class Server::Impl {
   /// itself stays valid until the event loop reaps it.
   bool send_frame(Conn* conn, Verb verb, std::span<const std::byte> payload,
                   std::uint16_t code = 0) {
+    return queue_frame(conn, build_frame(verb, payload, code));
+  }
+
+  /// Queue whole frames' bytes and flush; returns as send_frame does.
+  bool queue_frame(Conn* conn, std::vector<std::byte> bytes) {
     if (conn->dead) return false;
-    auto frame = build_frame(verb, payload, code);
-    conn->out_queued += frame.size();
-    conn->out.push_back(std::move(frame));
+    conn->out_queued += bytes.size();
+    conn->out.push_back(std::move(bytes));
     return flush_out(conn);
   }
 

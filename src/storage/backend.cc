@@ -252,7 +252,10 @@ class FileBackend final : public StorageBackend {
       // ".tmp" siblings are unpublished writes (possibly left behind
       // by a crash mid-publish) — never visible objects.
       if (it->is_regular_file() && !is_tmp_name(it->path().string())) {
-        keys.push_back(fs::relative(it->path(), dir_).string());
+        // The iterator's paths extend dir_ as given, so the key is the
+        // lexical remainder (fs::relative would canonicalize both paths,
+        // a system call per component).
+        keys.push_back(it->path().lexically_relative(dir_).string());
       }
     }
     std::sort(keys.begin(), keys.end());

@@ -443,5 +443,122 @@ TEST(RemoteBackendSigpipeTest, ServerClosingMidPutReturnsStatus) {
   ::close(listen_fd);
 }
 
+// The client reads GET bodies straight into the caller's span.  A DATA
+// frame longer than the rest of the range must be refused before any
+// of it lands there, and must poison the connection; a healthy body
+// (DATA and DATA_END in one segment) and an ERR still come through.
+TEST(RemoteBackendGetTest, DataPastTheRangeIsRefusedAndPoisonsTheConnection) {
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 2), 0);
+  socklen_t addr_len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  const std::vector<std::byte> body = {std::byte{1}, std::byte{2},
+                                       std::byte{3}, std::byte{4}};
+
+  // Fake daemon, two connections.  The first answers HELLO and STAT,
+  // then a GET with 20 bytes of DATA; the second answers HELLO, a GET
+  // with DATA and DATA_END in one send, and a GET with ERR.
+  std::thread fake([listen_fd, &body] {
+    auto next_verb = [](int cfd) -> Result<net::Verb> {
+      std::byte header_bytes[net::kFrameHeaderSize];
+      auto got = ioutil::read_full(cfd, header_bytes);
+      if (!got.is_ok() || *got < net::kFrameHeaderSize) {
+        return io_error("peer gone");
+      }
+      ICKPT_ASSIGN_OR_RETURN(
+          header, net::decode_frame_header(
+                      std::span<const std::byte, net::kFrameHeaderSize>(
+                          header_bytes)));
+      std::vector<std::byte> payload(header.len);
+      if (header.len > 0) {
+        auto rest = ioutil::read_full(cfd, payload);
+        if (!rest.is_ok()) return io_error("peer gone");
+      }
+      return header.verb;
+    };
+    auto send = [](int cfd, const std::vector<std::byte>& bytes) {
+      (void)ioutil::send_full(cfd, bytes);
+    };
+    int cfd = ::accept(listen_fd, nullptr, nullptr);
+    if (cfd < 0) return;
+    if (next_verb(cfd).is_ok()) {
+      send(cfd, net::build_frame(net::Verb::kHelloOk, {}));
+    }
+    if (next_verb(cfd).is_ok()) {
+      send(cfd, net::build_frame(net::Verb::kStatOk, net::build_stat_ok(100)));
+    }
+    if (next_verb(cfd).is_ok()) {
+      send(cfd, net::build_frame(net::Verb::kData,
+                                 std::vector<std::byte>(20, std::byte{0x77})));
+    }
+    (void)next_verb(cfd);  // the client hangs up
+    ::close(cfd);
+
+    cfd = ::accept(listen_fd, nullptr, nullptr);
+    if (cfd < 0) return;
+    if (next_verb(cfd).is_ok()) {
+      send(cfd, net::build_frame(net::Verb::kHelloOk, {}));
+    }
+    if (next_verb(cfd).is_ok()) {
+      auto frames = net::build_frame(net::Verb::kData, body);
+      const auto end = net::build_frame(net::Verb::kDataEnd, {});
+      frames.insert(frames.end(), end.begin(), end.end());
+      send(cfd, frames);
+    }
+    if (next_verb(cfd).is_ok()) {
+      send(cfd, net::build_frame(net::Verb::kErr,
+                                 net::build_err_payload("gone"),
+                                 net::to_wire_code(ErrorCode::kNotFound)));
+    }
+    (void)next_verb(cfd);
+    ::close(cfd);
+  });
+
+  {
+    storage::RemoteBackendOptions options;
+    options.host = "127.0.0.1";
+    options.port = port;
+    options.io_timeout_s = 10.0;
+    auto remote = storage::make_remote_backend(options);
+    ASSERT_TRUE(remote.is_ok()) << remote.status().message();
+    auto reader = (*remote)->open("obj");
+    ASSERT_TRUE(reader.is_ok()) << reader.status().message();
+
+    std::vector<std::byte> out(26, std::byte{0xEE});
+    auto got = (*reader)->read_at(0, std::span(out).first(10));
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::kInternal);
+    EXPECT_NE(got.status().message().find("DATA overruns the GET range"),
+              std::string::npos)
+        << got.status().message();
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                            [](std::byte b) { return b == std::byte{0xEE}; }));
+
+    // A fresh connection serves the next GETs.
+    got = (*reader)->read_at(0, std::span(out).first(10));
+    ASSERT_TRUE(got.is_ok()) << got.status().message();
+    EXPECT_EQ(*got, body.size());
+    EXPECT_TRUE(std::equal(body.begin(), body.end(), out.begin()));
+    EXPECT_EQ(out[body.size()], std::byte{0xEE});
+    got = (*reader)->read_at(0, std::span(out).first(10));
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(got.status().message(), "gone");
+  }
+  fake.join();
+  ::close(listen_fd);
+}
+
 }  // namespace
 }  // namespace ickpt::checkpoint

@@ -1,6 +1,7 @@
 // ickptd server tests: full round trips through RemoteBackend against
 // a live in-process epoll server, plus raw-socket abuse — protocol
-// negatives, client drops mid-PUT, backpressure and idle timeouts.
+// negatives, client drops mid-PUT, backpressure, byte-exact ranged GETs
+// at chunk edges and idle timeouts.
 #include "net/server.h"
 
 #include <arpa/inet.h>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -479,6 +481,94 @@ TEST_F(NetServerTest, BackpressurePumpsLargeGetThroughTinyWindow) {
   ASSERT_TRUE(n.is_ok()) << n.status().message();
   EXPECT_EQ(*n, payload.size());
   EXPECT_EQ(got, payload);
+}
+
+TEST_F(NetServerTest, RangedGetsAreByteExactAtChunkEdges) {
+  start();
+  auto remote = storage::make_remote_backend(remote_options());
+  ASSERT_TRUE(remote.is_ok());
+  const auto payload = pattern_bytes(3 * kChunkSize + 123, 21);
+  {
+    auto writer = (*remote)->create("edges");
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE((*writer)->write(payload).is_ok());
+    ASSERT_TRUE((*writer)->close().is_ok());
+  }
+  auto reader = (*remote)->open("edges");
+  ASSERT_TRUE(reader.is_ok());
+
+  // The body as the wire carries it: DATA frames of at most one chunk,
+  // then an empty DATA_END.
+  RawClient raw;
+  ASSERT_TRUE(raw.connect_to(server_->port()));
+  ASSERT_TRUE(raw.hello().is_ok());
+  const auto get_raw = [&](std::uint64_t offset, std::uint64_t length) {
+    std::vector<std::byte> body;
+    EXPECT_TRUE(
+        raw.send_frame(Verb::kGet, build_get({"edges", offset, length}))
+            .is_ok());
+    for (;;) {
+      auto frame = raw.recv_frame();
+      if (!frame.is_ok()) {
+        ADD_FAILURE() << frame.status().message();
+        return body;
+      }
+      if (frame->header.verb == Verb::kDataEnd) {
+        EXPECT_TRUE(frame->payload.empty());
+        return body;
+      }
+      if (frame->header.verb != Verb::kData) {
+        ADD_FAILURE() << "unexpected " << to_string(frame->header.verb);
+        return body;
+      }
+      EXPECT_GT(frame->payload.size(), 0u);
+      EXPECT_LE(frame->payload.size(), kChunkSize);
+      body.insert(body.end(), frame->payload.begin(), frame->payload.end());
+    }
+  };
+  const auto slice = [&](std::size_t offset, std::size_t length) {
+    return std::vector<std::byte>(payload.begin() + offset,
+                                  payload.begin() + offset + length);
+  };
+
+  for (std::size_t offset : {std::size_t{0}, std::size_t{777}}) {
+    for (std::size_t length :
+         {std::size_t{0}, std::size_t{1}, kChunkSize - 1, kChunkSize,
+          kChunkSize + 1}) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(length));
+      const auto want = slice(offset, length);
+      EXPECT_EQ(get_raw(offset, length), want);
+      // Through the client, the bytes land in the caller's span and
+      // nowhere past it.
+      std::vector<std::byte> got(length + 16, std::byte{0xEE});
+      auto n = (*reader)->read_at(offset, std::span(got).first(length));
+      ASSERT_TRUE(n.is_ok()) << n.status().message();
+      EXPECT_EQ(*n, length);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()));
+      EXPECT_TRUE(
+          std::all_of(got.begin() + static_cast<std::ptrdiff_t>(length),
+                      got.end(),
+                      [](std::byte b) { return b == std::byte{0xEE}; }));
+    }
+  }
+
+  // Past EOF: DATA_END alone.  Across EOF: only the bytes that exist.
+  EXPECT_TRUE(get_raw(payload.size(), 1).empty());
+  EXPECT_TRUE(get_raw(payload.size() + 5, kChunkSize).empty());
+  EXPECT_EQ(get_raw(payload.size() - 3, kChunkSize),
+            slice(payload.size() - 3, 3));
+  std::vector<std::byte> past(kChunkSize);
+  auto n = (*reader)->read_at(payload.size() + 5, past);
+  ASSERT_TRUE(n.is_ok());
+  EXPECT_EQ(*n, 0u);
+  n = (*reader)->read_at(payload.size() - 3, past);
+  ASSERT_TRUE(n.is_ok());
+  EXPECT_EQ(*n, 3u);
+  EXPECT_TRUE(std::equal(past.begin(), past.begin() + 3,
+                         payload.end() - 3));
+  // The whole object, streamed through the sequential read path.
+  EXPECT_EQ(get_raw(0, kWholeObject), payload);
 }
 
 TEST_F(NetServerTest, IntakeStoresFramesAsTheyArrive) {

@@ -1,19 +1,25 @@
 // The plan-then-decode restore pipeline: parallel-vs-serial byte
 // identity, upto filtering, gap and corruption handling (strict and
-// truncated-tail), memory exclusion across long chains, decode-once
-// accounting, what restore reads from a v3 object (winning chunks
-// only, every byte of them verified), the output (fresh mappings that
-// zero pages never touch, adopted in place by materialize), numeric
-// sequence ordering at the key-pad boundary, and store repair.
+// truncated-tail, with the same verdicts at one thread and four, and
+// probes that overlap on the pool), memory exclusion across long
+// chains, decode-once accounting, what restore reads from a v3 object
+// (winning chunks only, every byte of them verified), the output
+// (fresh mappings that zero pages never touch, adopted in place by
+// materialize), numeric sequence ordering at the key-pad boundary, and
+// store repair.
 #include "checkpoint/restore.h"
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <mutex>
+#include <set>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/compress.h"
@@ -208,6 +214,43 @@ class RestoreChainTest : public ::testing::Test {
     write_object(key, data);
   }
 
+  /// A 4-byte object: too short for a header, so only a key that
+  /// parses can place it in the chain.
+  void write_junk(const std::string& key) {
+    const std::byte junk[4] = {std::byte{'J'}, std::byte{'U'},
+                               std::byte{'N'}, std::byte{'K'}};
+    write_object(key, junk);
+  }
+
+  /// Restore the whole chain at one thread and at four, strictly or
+  /// tolerantly.  Both must reach the same verdict (status code and
+  /// message, or state); returns the four-thread one.
+  Result<RestoredState> same_verdict_at_1_and_4_threads(bool tolerant) {
+    RestoreOptions opts;
+    opts.allow_truncated_tail = tolerant;
+    opts.decode_threads = 1;
+    auto one = restore_chain(*storage_, 0, opts);
+    opts.decode_threads = 4;
+    auto four = restore_chain(*storage_, 0, opts);
+    EXPECT_EQ(one.status().code(), four.status().code());
+    EXPECT_EQ(one.status().message(), four.status().message());
+    if (one.is_ok() && four.is_ok()) expect_states_identical(*one, *four);
+    return four;
+  }
+
+  /// The strict and tolerant verdicts at one and four threads: the
+  /// strict one fails with kCorruption and `message`, the tolerant one
+  /// recovers sequence `recovered`.
+  void expect_verdicts(const std::string& message, std::uint64_t recovered) {
+    auto strict = same_verdict_at_1_and_4_threads(false);
+    ASSERT_FALSE(strict.is_ok());
+    EXPECT_EQ(strict.status().code(), ErrorCode::kCorruption);
+    EXPECT_EQ(strict.status().message(), message);
+    auto tolerant = same_verdict_at_1_and_4_threads(true);
+    ASSERT_TRUE(tolerant.is_ok()) << tolerant.status().to_string();
+    EXPECT_EQ(tolerant->sequence, recovered);
+  }
+
   ExplicitEngine engine_;
   std::unique_ptr<storage::StorageBackend> storage_;
   AddressSpace space_;
@@ -392,6 +435,106 @@ TEST_F(RestoreChainTest, ObliteratedTailObjectStillRecovers) {
   auto state = restore_chain(*storage_, 0, opts);
   ASSERT_TRUE(state.is_ok()) << state.status().to_string();
   EXPECT_EQ(state->sequence, 2u);
+}
+
+// --- The probe on the pool: the same verdicts at every thread count --
+
+TEST_F(RestoreChainTest, GapVerdictsDoNotDependOnThreads) {
+  build_chain(4);
+  ASSERT_TRUE(storage_->remove(checkpoint_key(0, 2)).is_ok());
+  expect_verdicts(
+      "chain gap: sequence 3 expects parent 2 but 1 is the newest applied",
+      1);
+}
+
+TEST_F(RestoreChainTest, CorruptTailVerdictsDoNotDependOnThreads) {
+  build_chain(4);
+  corrupt_payload(checkpoint_key(0, 4));
+  expect_verdicts("crc mismatch in " + checkpoint_key(0, 4), 3);
+}
+
+TEST_F(RestoreChainTest, CorruptMidChainVerdictsDoNotDependOnThreads) {
+  build_chain(5);
+  corrupt_payload(checkpoint_key(0, 2));
+  expect_verdicts("crc mismatch in " + checkpoint_key(0, 2), 1);
+}
+
+TEST_F(RestoreChainTest, ObliteratedObjectVerdictsDoNotDependOnThreads) {
+  build_chain(3);
+  corrupt_header(checkpoint_key(0, 3));
+  expect_verdicts("bad magic in " + checkpoint_key(0, 3), 2);
+}
+
+TEST_F(RestoreChainTest, OrphanVerdictsDoNotDependOnThreads) {
+  build_chain(2);
+  write_junk("rank0/not-a-checkpoint");
+  expect_verdicts("bad header in rank0/not-a-checkpoint", 2);
+}
+
+TEST_F(RestoreChainTest, DuplicateSequenceVerdictsDoNotDependOnThreads) {
+  build_chain(3);
+  // Sequence 3's bytes under the key of a fourth object.
+  write_object(checkpoint_key(0, 4), read_object(checkpoint_key(0, 3)));
+  expect_verdicts("duplicate sequence 3 in chain", 3);
+}
+
+TEST_F(RestoreChainTest, FirstDamageInKeyOrderIsTheStrictVerdict) {
+  // Two unusable objects: an orphan that sorts before every checkpoint
+  // key, and an obliterated header.  A strict restore reports the
+  // orphan, the first in key order, however the probes interleave.
+  build_chain(3);
+  write_junk("rank0/a-orphan");
+  corrupt_header(checkpoint_key(0, 2));
+  expect_verdicts("bad header in rank0/a-orphan", 1);
+}
+
+/// Decorator whose first open of each object waits, for at most a few
+/// seconds, until another such open is in flight.  Restore opens every
+/// object once to probe it before any decode open, so `overlapped()`
+/// reports whether two probes ever ran at the same time.
+class OverlapBackend : public storage::CountingBackend {
+ public:
+  using CountingBackend::CountingBackend;
+
+  Result<std::unique_ptr<storage::Reader>> open(
+      const std::string& key) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (opened_.insert(key).second) {
+      ++in_flight_;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(3),
+                   [this] { return overlapped_ || in_flight_ > 1; });
+      overlapped_ = overlapped_ || in_flight_ > 1;
+      --in_flight_;
+    }
+    lock.unlock();
+    return CountingBackend::open(key);
+  }
+
+  bool overlapped() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return overlapped_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<std::string> opened_;
+  int in_flight_ = 0;
+  bool overlapped_ = false;
+};
+
+TEST_F(RestoreChainTest, ProbesRunConcurrentlyOnThePool) {
+  build_chain(6);
+  auto reference = restore_chain_serial(*storage_, 0);
+  ASSERT_TRUE(reference.is_ok());
+  OverlapBackend overlap(*storage_);
+  RestoreOptions opts;
+  opts.decode_threads = 4;
+  auto state = restore_chain(overlap, 0, opts);
+  ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+  EXPECT_TRUE(overlap.overlapped());
+  expect_states_identical(*reference, *state);
 }
 
 TEST_F(RestoreChainTest, DecodesEachSurvivingPageExactlyOnce) {

@@ -331,5 +331,39 @@ TEST(FileBackendTest, KeysWithSubdirectories) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(FileBackendTest, ListedKeysDoNotDependOnHowTheDirectoryIsNamed) {
+  const std::string root = ::testing::TempDir() + "/ickpt_dir_spelling_" +
+                           std::to_string(::getpid());
+  const std::string dir = root + "/store";
+  std::filesystem::remove_all(root);
+  const std::vector<std::string> want = {"a", "deep/nested/key",
+                                         "rank0/ckpt-1", "rank0/ckpt-2"};
+  {
+    auto backend = make_file_backend(dir);
+    ASSERT_TRUE(backend.is_ok());
+    for (const auto& key : want) {
+      auto w = (*backend)->create(key);
+      ASSERT_TRUE(w.is_ok());
+      ASSERT_TRUE((*w)->write(as_bytes(key)).is_ok());
+      ASSERT_TRUE((*w)->close().is_ok());
+    }
+  }
+  std::ofstream(dir + "/rank0/ckpt-3.tmp") << "half-written";
+  std::filesystem::create_directory_symlink(dir, root + "/link");
+
+  for (const std::string& spelling :
+       {dir, dir + "/", dir + "/../store", dir + "/../store/", root + "/link",
+        root + "/link/"}) {
+    SCOPED_TRACE(spelling);
+    auto backend = make_file_backend(spelling);
+    ASSERT_TRUE(backend.is_ok());
+    auto keys = (*backend)->list();
+    ASSERT_TRUE(keys.is_ok());
+    EXPECT_EQ(*keys, want);
+    for (const auto& key : *keys) EXPECT_EQ(read_all(**backend, key), key);
+  }
+  std::filesystem::remove_all(root);
+}
+
 }  // namespace
 }  // namespace ickpt::storage
