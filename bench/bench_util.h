@@ -131,11 +131,14 @@ class BenchJson {
     obs::start_tracing();
   }
 
-  /// Measure `fn` as one arm processing `bytes` bytes.
+  /// Measure `fn` as one arm processing `bytes` bytes; returns the
+  /// arm's wall_s.
   template <typename F>
-  void run_arm(const std::string& name, std::uint64_t bytes, F&& fn) {
+  double run_arm(const std::string& name, std::uint64_t bytes, F&& fn) {
     const obs::TraceRing* ring = obs::trace_ring();
     const std::uint64_t seq0 = ring != nullptr ? ring->emitted() : 0;
+    untimed_wall_s_ = 0;
+    untimed_cpu_s_ = 0;
     const double cpu0 = process_cpu_seconds();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
@@ -143,8 +146,9 @@ class BenchJson {
     arm.name = name;
     arm.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    arm.cpu_s = process_cpu_seconds() - cpu0;
+            .count() -
+        untimed_wall_s_;
+    arm.cpu_s = process_cpu_seconds() - cpu0 - untimed_cpu_s_;
     arm.bytes = bytes;
     if (ring != nullptr) {
       auto events = ring->snapshot();
@@ -153,6 +157,21 @@ class BenchJson {
       arm.phases = obs::rollup_spans(events);
     }
     arms_.push_back(std::move(arm));
+    return arms_.back().wall_s;
+  }
+
+  /// Inside a run_arm body: run `fn` off the arm's wall and CPU clocks,
+  /// for clean-up between the arm's repetitions.  Spans it emits still
+  /// roll up into the arm's phases.
+  template <typename F>
+  void untimed(F&& fn) {
+    const double cpu0 = process_cpu_seconds();
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    untimed_wall_s_ +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    untimed_cpu_s_ += process_cpu_seconds() - cpu0;
   }
 
   /// Write BENCH_<bench>.json next to the binary (like the CSVs) and,
@@ -235,6 +254,8 @@ class BenchJson {
   double scale_;
   bool quick_;
   std::vector<Arm> arms_;
+  double untimed_wall_s_ = 0;  ///< of the arm running now
+  double untimed_cpu_s_ = 0;
 };
 
 /// Timeslices used by the figure sweeps (paper: 1 s .. 20 s).

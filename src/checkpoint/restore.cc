@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <utility>
 
@@ -850,25 +851,48 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   plan_span.end(total_pages, reads.size());
   obs::ScopedTimer decode_timer(metrics.decode_ns);
 
-  // Reads are in object order and each worker takes the next one, so a
-  // worker reaches each object at most once and opens it once.
+  // One reader per object, shared by the workers: the first to reach
+  // the object opens it, and whoever finishes its last read closes it.
+  // Reads are in object order and each worker takes the next one, so
+  // at most as many objects as workers are open at once.
+  struct OpenObject {
+    std::mutex mu;
+    bool tried = false;
+    std::unique_ptr<storage::Reader> reader;
+    Status status;
+    std::atomic<std::size_t> reads_left{0};
+  };
+  std::vector<OpenObject> opened(objs.size());
+  for (const ChunkRead& r : reads) {
+    opened[r.obj].reads_left.fetch_add(1, std::memory_order_relaxed);
+  }
   std::atomic<std::size_t> next{0};
   const auto worker = [&] {
-    std::uint32_t open_obj = UINT32_MAX;
-    std::unique_ptr<storage::Reader> reader;
-    Status open_status;
     std::vector<std::byte> buf;
     for (std::size_t i = next.fetch_add(1); i < reads.size();
          i = next.fetch_add(1)) {
       ChunkRead& r = reads[i];
-      if (r.obj != open_obj) {
-        open_obj = r.obj;
-        auto opened = storage.open(objs[r.obj].key);
-        open_status = opened.status();
-        reader = opened.is_ok() ? std::move(*opened) : nullptr;
+      OpenObject& o = opened[r.obj];
+      storage::Reader* reader = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(o.mu);
+        if (!o.tried) {
+          o.tried = true;
+          auto got = storage.open(objs[r.obj].key);
+          o.status = got.status();
+          if (got.is_ok()) o.reader = std::move(*got);
+        }
+        reader = o.reader.get();
+        r.status = o.status;
       }
-      r.status = reader != nullptr ? decode_read(*reader, objs[r.obj], r, buf)
-                                   : open_status;
+      // read_at is safe to call concurrently on one reader.
+      if (reader != nullptr) {
+        r.status = decode_read(*reader, objs[r.obj], r, buf);
+      }
+      if (o.reads_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(o.mu);
+        o.reader.reset();
+      }
     }
   };
   workers.run(reads.size(), worker);

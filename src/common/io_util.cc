@@ -1,8 +1,10 @@
 #include "common/io_util.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -35,6 +37,44 @@ Status write_full(int fd, std::span<const std::byte> data) {
     done += static_cast<std::size_t>(got);
   }
   return Status::ok();
+}
+
+Status pwrite_full(int fd, std::span<const std::span<const std::byte>> pieces,
+                   std::uint64_t offset) {
+  constexpr std::size_t kBatch = 64;  // iovecs per pwritev, well under IOV_MAX
+  std::size_t i = 0;     // first piece not yet fully written
+  std::size_t skip = 0;  // bytes of pieces[i] already written
+  for (;;) {
+    while (i < pieces.size() && skip == pieces[i].size()) {
+      ++i;
+      skip = 0;
+    }
+    if (i == pieces.size()) return Status::ok();
+    iovec iov[kBatch];
+    int n = 0;
+    for (std::size_t j = i; j < pieces.size() && n < static_cast<int>(kBatch);
+         ++j) {
+      const auto piece = pieces[j].subspan(j == i ? skip : 0);
+      if (piece.empty()) continue;
+      iov[n++] = {const_cast<std::byte*>(piece.data()), piece.size()};
+    }
+    const ssize_t got = ::pwritev(fd, iov, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return io_error(std::string("pwrite failed: ") + std::strerror(errno));
+    }
+    if (got == 0) return io_error("pwrite made no progress");
+    offset += static_cast<std::uint64_t>(got);
+    for (auto left = static_cast<std::size_t>(got); left > 0;) {
+      const std::size_t n_here = std::min(left, pieces[i].size() - skip);
+      skip += n_here;
+      left -= n_here;
+      if (skip == pieces[i].size()) {
+        ++i;
+        skip = 0;
+      }
+    }
+  }
 }
 
 Status send_full(int fd, std::span<const std::byte> data) {

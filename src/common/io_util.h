@@ -3,9 +3,9 @@
 // EINTR and partial transfers the same way.
 //
 // Two layers:
-//   * fd-level read_full/write_full — retry EINTR, loop over short
-//     counts.  read_full stops early only at EOF; write_full either
-//     moves every byte or returns the errno as kIoError.
+//   * fd-level read_full/write_full/pwrite_full — retry EINTR, loop
+//     over short counts.  read_full stops early only at EOF; the
+//     writers either move every byte or return the errno as kIoError.
 //   * a generic read_full over any "read(span) -> Result<size_t>"
 //     callable (storage::Reader::read has exactly that shape), for
 //     code that must read an exact number of bytes from a streaming
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "common/status.h"
@@ -26,6 +27,12 @@ Result<std::size_t> read_full(int fd, std::span<std::byte> out);
 
 /// Write all of `data` to `fd`, retrying EINTR and short writes.
 Status write_full(int fd, std::span<const std::byte> data);
+
+/// Write `pieces`, back to back, to `fd` at `offset` with pwritev(2):
+/// the fd's file position is neither used nor moved.  Retries EINTR
+/// and short writes; either moves every byte or returns kIoError.
+Status pwrite_full(int fd, std::span<const std::span<const std::byte>> pieces,
+                   std::uint64_t offset);
 
 /// write_full for socket fds: uses send(2) with MSG_NOSIGNAL, so a
 /// peer that closed the connection surfaces as a kIoError (EPIPE)

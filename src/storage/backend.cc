@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "storage/writeback.h"
 
 namespace ickpt::storage {
 
@@ -133,6 +134,7 @@ class FileWriter final : public Writer {
     auto st = ioutil::write_full(fd_, data);
     if (!st.is_ok()) return io_error("file write failed: " + tmp_.string());
     bytes_ += data.size();
+    if (durable_) writeback_.advance(fd_, bytes_);
     return Status::ok();
   }
   Status close() override {
@@ -154,6 +156,7 @@ class FileWriter final : public Writer {
   bool durable_;
   bool closed_ = false;
   std::atomic<std::uint64_t>* total_;
+  WritebackHint writeback_;  ///< durable only: the fdatasync finds less
 };
 
 /// Reads with pread(2) only: read() advances the reader's own cursor,

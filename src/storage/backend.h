@@ -49,7 +49,11 @@ class Reader {
 
   /// Reads up to out.size() bytes starting at `offset`; returns the
   /// count (0 when offset is at or past EOF).  Leaves the sequential
-  /// cursor of read() where it was.
+  /// cursor of read() where it was.  Safe to call from several threads
+  /// at once on one reader: the file and segment readers pread a shared
+  /// fd, the memory reader copies from an immutable buffer, and the
+  /// remote reader leases a pooled connection per call.  Restore's
+  /// decode workers share one reader per object on that basis.
   virtual Result<std::size_t> read_at(std::uint64_t offset,
                                       std::span<std::byte> out) {
     (void)offset;
@@ -91,7 +95,9 @@ struct FileBackendOptions {
   /// running kernel.  Costs two device syncs per object (counted in
   /// storage.fsync_calls, timed in storage.publish_sync_ns, spanned as
   /// ckpt.publish_sync); turn off only for stores whose loss is
-  /// acceptable (bench scratch, caches).
+  /// acceptable (bench scratch, caches).  A durable writer also starts
+  /// device writeback of each MiB as it is written
+  /// (storage.writeback_calls), so the sync finds less to wait for.
   bool durable_publish = true;
 };
 

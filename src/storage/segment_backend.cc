@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
+#include "storage/writeback.h"
 
 namespace ickpt::storage {
 
@@ -102,6 +103,26 @@ std::uint32_t header_crc(const RecordHeader& h, std::string_view key) {
   return crc.value();
 }
 
+RecordHeader make_header(std::uint8_t type, std::string_view key,
+                         std::uint64_t payload_len,
+                         std::uint32_t payload_crc) {
+  RecordHeader h;
+  h.type = type;
+  h.key_len = static_cast<std::uint32_t>(key.size());
+  h.payload_len = payload_len;
+  h.payload_crc = payload_crc;
+  h.header_crc = header_crc(h, key);
+  return h;
+}
+
+std::span<const std::byte> header_bytes(const RecordHeader& h) {
+  return {reinterpret_cast<const std::byte*>(&h), sizeof h};
+}
+
+std::span<const std::byte> key_bytes(std::string_view key) {
+  return {reinterpret_cast<const std::byte*>(key.data()), key.size()};
+}
+
 struct SegmentMetrics {
   obs::Counter& fsync_calls;
   obs::Histogram& publish_sync_ns;
@@ -109,6 +130,7 @@ struct SegmentMetrics {
   obs::Counter& seals;
   obs::Counter& compactions;
   obs::Counter& torn_records;
+  obs::Counter& demotions;
   std::uint16_t publish_span;
 
   static SegmentMetrics& get() {
@@ -120,6 +142,7 @@ struct SegmentMetrics {
         r.counter("storage.segment_seals"),
         r.counter("storage.segment_compactions"),
         r.counter("storage.segment_torn_records"),
+        r.counter("storage.segment_demotions"),
         obs::trace_name("ckpt.publish_sync", obs::TraceCat::kStorage)};
     return m;
   }
@@ -217,6 +240,14 @@ class SegmentReader final : public Reader {
 
 // ------------------------------------------------------------- backend
 
+/// Stands in for a streamed record's header until close() writes the
+/// real one: magic 0, which no scan accepts.
+constexpr RecordHeader kPlaceholder = [] {
+  RecordHeader h;
+  h.magic = 0;
+  return h;
+}();
+
 class SegmentBackendImpl final : public SegmentBackend {
  public:
   /// A record payload given as consecutive pieces.
@@ -292,27 +323,6 @@ class SegmentBackendImpl final : public SegmentBackend {
     return s;
   }
 
-  /// Commit one buffered object (Writer::close path); its payload is
-  /// `parts`, in order.
-  Status commit(const std::string& key, Parts parts) {
-    if (key.empty() || key.size() > kMaxKeyLen) {
-      return invalid_argument("bad key length: " + key);
-    }
-    Crc32 crc;
-    for (const auto part : parts) crc.update(part.data(), part.size());
-    std::lock_guard<std::mutex> lock(mu_);
-    ICKPT_RETURN_IF_ERROR(append_locked(kObject, key, parts, crc.value()));
-    const std::uint64_t len = parts_size(parts);
-    auto it = index_.find(key);
-    if (it != index_.end()) drop_entry_locked(it);
-    // append_locked may have rolled to a fresh segment, so derive the
-    // offset from where the record actually landed.
-    index_[key] = IndexEntry{active_, active_end_ - len, len, crc.value()};
-    active_->live_bytes += len;
-    total_.fetch_add(len, std::memory_order_relaxed);
-    return Status::ok();
-  }
-
  private:
   class SegmentWriter;
 
@@ -323,35 +333,25 @@ class SegmentBackendImpl final : public SegmentBackend {
     index_.erase(it);
   }
 
-  /// Writers buffer objects in parts of kPartBytes.  Up to kSpareParts
-  /// emptied parts are kept for reuse: enough for a typical checkpoint
-  /// object (perfbench sage-ickptd's largest is 11.6 MB), while one huge
-  /// object does not stay resident once it is committed.
-  static constexpr std::size_t kPartBytes = 1u << 20;
-  static constexpr std::size_t kSpareParts = 16;
-
-  /// An empty part with kPartBytes of capacity, reused when possible.
-  std::vector<std::byte> take_part() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::byte> part;
-    if (spare_parts_.empty()) {
-      part.reserve(kPartBytes);
-    } else {
-      part = std::move(spare_parts_.back());
-      spare_parts_.pop_back();
-    }
-    return part;
+  /// Point the index at the object record that ends at active_end_.
+  /// Caller holds mu_.
+  void index_object_locked(const std::string& key, std::uint64_t len,
+                           std::uint32_t crc) {
+    auto it = index_.find(key);
+    if (it != index_.end()) drop_entry_locked(it);
+    index_[key] = IndexEntry{active_, active_end_ - len, len, crc};
+    active_->live_bytes += len;
   }
 
-  /// Keep a closed writer's parts as spares (emptied) and free the rest.
-  void give_back(std::vector<std::vector<std::byte>>& parts) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& part : parts) {
-      if (spare_parts_.size() == kSpareParts) break;
-      part.clear();
-      spare_parts_.push_back(std::move(part));
-    }
-    parts.clear();
+  /// Buffered writers and demoted streams hold their objects in parts
+  /// of kPartBytes, so each byte is copied once, where a doubling
+  /// vector copies and faults in two to three times the object.
+  static constexpr std::size_t kPartBytes = 1u << 20;
+
+  static std::vector<std::byte> new_part() {
+    std::vector<std::byte> part;
+    part.reserve(kPartBytes);
+    return part;
   }
 
   static std::uint64_t parts_size(Parts parts) {
@@ -360,51 +360,88 @@ class SegmentBackendImpl final : public SegmentBackend {
     return n;
   }
 
+  // ---- Streams.  At most one writer at a time leases the active
+  // segment's tail; the functions below run under mu_.
+
+  /// Lease the tail to `w` when no stream holds it.
+  Status lease_locked(SegmentWriter& w);
+  /// Write `data` into the open stream `w`, at its next offset.
+  Status stream_locked(SegmentWriter& w, std::span<const std::byte> data);
+  /// Write `w`'s real header, publish its record and release the lease.
+  Status finish_stream_locked(SegmentWriter& w);
+  /// Give `w` up unclosed: drop its streamed bytes.
+  void abort_locked(SegmentWriter& w);
+  /// Make the open stream, if any, a buffered writer again: read its
+  /// bytes back into parts and cut the tail to the last committed
+  /// record, so the caller's append lands there.
+  Status demote_stream_locked();
+
+  /// Cut the active segment back to its last committed record.
+  Status truncate_tail_locked() {
+    if (::ftruncate(active_->fd, static_cast<off_t>(active_end_)) != 0) {
+      return io_error("ftruncate failed: " + active_->path.string() + ": " +
+                      std::strerror(errno));
+    }
+    return Status::ok();
+  }
+
+  /// Make sure there is an active segment with room, rolling to a fresh
+  /// one once the active one is full.  Caller holds mu_.
+  Status ensure_room_locked() {
+    if (active_ != nullptr && active_end_ < options_.segment_bytes) {
+      return Status::ok();
+    }
+    ICKPT_RETURN_IF_ERROR(seal_active_locked());
+    return start_segment_locked();
+  }
+
   /// Append one record, whose payload is `parts` in order, to the
   /// active segment (rolling/creating it as needed) and, when durable,
   /// sync it.  Caller holds mu_.
   Status append_locked(std::uint8_t type, const std::string& key,
                        Parts parts, std::uint32_t payload_crc) {
+    ICKPT_RETURN_IF_ERROR(demote_stream_locked());
+    ICKPT_RETURN_IF_ERROR(ensure_room_locked());
     const std::uint64_t payload_len = parts_size(parts);
-    if (active_ == nullptr || active_end_ >= options_.segment_bytes) {
-      ICKPT_RETURN_IF_ERROR(seal_active_locked());
-      ICKPT_RETURN_IF_ERROR(start_segment_locked());
-    }
-    RecordHeader h;
-    h.type = type;
-    h.key_len = static_cast<std::uint32_t>(key.size());
-    h.payload_len = payload_len;
-    h.payload_crc = payload_crc;
-    h.header_crc = header_crc(h, key);
-
-    // One contiguous append: header || key || payload.  Sequential
+    const RecordHeader h = make_header(type, key, payload_len, payload_crc);
+    // One append at the tail: header || key || payload.  Sequential
     // writes only — the whole point of the log structure.
-    buf_.clear();
-    buf_.reserve(sizeof h + key.size());
-    const auto* hb = reinterpret_cast<const std::byte*>(&h);
-    buf_.insert(buf_.end(), hb, hb + sizeof h);
-    const auto* kb = reinterpret_cast<const std::byte*>(key.data());
-    buf_.insert(buf_.end(), kb, kb + key.size());
-    auto st = ioutil::write_full(active_->fd, buf_);
-    for (const auto part : parts) {
-      if (st.is_ok() && !part.empty()) {
-        st = ioutil::write_full(active_->fd, part);
-      }
-    }
+    pieces_.clear();
+    pieces_.push_back(header_bytes(h));
+    pieces_.push_back(key_bytes(key));
+    pieces_.insert(pieces_.end(), parts.begin(), parts.end());
+    auto st = ioutil::pwrite_full(active_->fd, pieces_, active_end_);
     if (!st.is_ok()) {
-      // The tail is now garbage; the next open()'s scan drops it.  Put
-      // the cursor back so in-process retries overwrite it too.
-      (void)::ftruncate(active_->fd, static_cast<off_t>(active_end_));
-      (void)::lseek(active_->fd, static_cast<off_t>(active_end_), SEEK_SET);
+      // The next open()'s scan would drop the torn tail; cut it now so
+      // the next append does not leave it behind its own record.
+      (void)truncate_tail_locked();
       return st;
     }
-    active_end_ += sizeof h + key.size() + payload_len;
+    return landed_locked(type, key, payload_len, payload_crc);
+  }
+
+  /// Account for the record just written at active_end_ and, when
+  /// durable, sync it.  Caller holds mu_.
+  Status landed_locked(std::uint8_t type, const std::string& key,
+                       std::uint64_t payload_len, std::uint32_t payload_crc) {
+    active_end_ += sizeof(RecordHeader) + key.size() + payload_len;
     active_->record_bytes = active_end_;
     active_records_.push_back(Rec{type, key, active_end_ - payload_len,
                                   payload_len, payload_crc});
     unsynced_ = true;
     SegmentMetrics::get().appends.inc();
     if (options_.durable) ICKPT_RETURN_IF_ERROR(sync_active_locked());
+    return Status::ok();
+  }
+
+  /// Commit one buffered object (the close() of a writer without the
+  /// lease): its payload is `parts`, in order, whose CRC is `crc`.
+  Status commit(const std::string& key, Parts parts, std::uint32_t crc) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ICKPT_RETURN_IF_ERROR(append_locked(kObject, key, parts, crc));
+    const std::uint64_t len = parts_size(parts);
+    index_object_locked(key, len, crc);
+    total_.fetch_add(len, std::memory_order_relaxed);
     return Status::ok();
   }
 
@@ -452,6 +489,7 @@ class SegmentBackendImpl final : public SegmentBackend {
   /// read-only set.  Caller holds mu_.
   Status seal_active_locked() {
     if (active_ == nullptr) return Status::ok();
+    ICKPT_RETURN_IF_ERROR(demote_stream_locked());
     // Entries block, in record order.
     buf_.clear();
     for (const Rec& r : active_records_) {
@@ -472,7 +510,9 @@ class SegmentBackendImpl final : public SegmentBackend {
     t.entries_crc = crc32(buf_);
     const auto* tb = reinterpret_cast<const std::byte*>(&t);
     buf_.insert(buf_.end(), tb, tb + sizeof t);
-    ICKPT_RETURN_IF_ERROR(ioutil::write_full(active_->fd, buf_));
+    const std::span<const std::byte> footer[] = {buf_};
+    ICKPT_RETURN_IF_ERROR(
+        ioutil::pwrite_full(active_->fd, footer, active_end_));
     unsynced_ = true;
     ICKPT_RETURN_IF_ERROR(sync_active_locked());
     active_->sealed = true;
@@ -511,38 +551,57 @@ class SegmentBackendImpl final : public SegmentBackend {
   std::map<std::string, IndexEntry> index_;
   std::map<std::uint64_t, SegPtr> segments_;  ///< sealed / read-only
   SegPtr active_;
+  /// End of the last committed record of the active segment: every
+  /// append, and the stream's record, starts here (under mu_).
   std::uint64_t active_end_ = 0;
   std::vector<Rec> active_records_;
-  std::vector<std::byte> buf_;  ///< append/footer scratch (under mu_)
-  /// Emptied parts of closed writers, for later writers to fill again,
-  /// so a stream of objects stops faulting in fresh memory once it has
-  /// seen its largest object.  At most kSpareParts (under mu_).
-  std::vector<std::vector<std::byte>> spare_parts_;
+  /// The writer that leases the active segment's tail, or null.  While
+  /// it is set, the segment's bytes past active_end_ are its record.
+  SegmentWriter* stream_ = nullptr;
+  std::vector<std::byte> buf_;  ///< footer scratch (under mu_)
+  std::vector<std::span<const std::byte>> pieces_;  ///< append scratch
   std::uint64_t next_id_ = 0;
   std::uint64_t torn_records_ = 0;
   bool unsynced_ = false;
   std::atomic<std::uint64_t> total_{0};
 };
 
-/// Buffers the object, then commits it as one record on close().
-/// Objects are bounded by checkpoint size, which the encode pipeline
-/// already materializes in memory — same cost profile as MemoryWriter.
-/// The buffer is a list of fixed-size parts, not one growing vector:
-/// each byte is copied once, where a doubling vector copies and faults
-/// in two to three times the object.  Parts come from the backend's
-/// spares and go back there on close(), so a steady stream of objects
-/// stops faulting in fresh memory.
+/// Writes one object.  A writer created while no other holds the
+/// active segment's tail leases it, and streams: each write() goes
+/// straight into the segment behind a placeholder header, the payload
+/// CRC is updated as the bytes pass, and close() writes the real
+/// header last, then syncs once.  A crash before the header lands
+/// leaves a torn tail, which the reopen scan drops.
+///
+/// Every other writer buffers its object in parts and commits it as
+/// one record on close().  So does a stream that another append
+/// demoted — a buffered commit, a tombstone, compaction or a seal: the
+/// demotion reads its bytes back into parts.  Records thus never
+/// interleave, and no append waits for a stream to finish.
 class SegmentBackendImpl::SegmentWriter final : public Writer {
  public:
   SegmentWriter(SegmentBackendImpl& backend, std::string key)
       : backend_(backend), key_(std::move(key)) {}
 
+  ~SegmentWriter() override {
+    if (closed_) return;
+    std::lock_guard<std::mutex> lock(backend_.mu_);
+    backend_.abort_locked(*this);
+  }
+
   Status write(std::span<const std::byte> data) override {
     if (closed_) return failed_precondition("write after close");
+    if (data.empty()) return Status::ok();
+    crc_.update(data.data(), data.size());
+    {
+      std::lock_guard<std::mutex> lock(backend_.mu_);
+      if (backend_.stream_ == this) return backend_.stream_locked(*this, data);
+    }
+    ICKPT_RETURN_IF_ERROR(error_);
     bytes_ += data.size();
     while (!data.empty()) {
       if (parts_.empty() || parts_.back().size() == kPartBytes) {
-        parts_.push_back(backend_.take_part());
+        parts_.push_back(new_part());
       }
       auto& part = parts_.back();
       const auto n = std::min(data.size(), kPartBytes - part.size());
@@ -556,20 +615,34 @@ class SegmentBackendImpl::SegmentWriter final : public Writer {
   Status close() override {
     if (closed_) return Status::ok();
     closed_ = true;
-    const std::vector<std::span<const std::byte>> parts(parts_.begin(),
-                                                        parts_.end());
-    auto st = backend_.commit(key_, parts);
-    backend_.give_back(parts_);
+    {
+      std::lock_guard<std::mutex> lock(backend_.mu_);
+      if (backend_.stream_ == this) return backend_.finish_stream_locked(*this);
+    }
+    Status st = error_;
+    if (st.is_ok()) {
+      const std::vector<std::span<const std::byte>> parts(parts_.begin(),
+                                                          parts_.end());
+      st = backend_.commit(key_, parts, crc_.value());
+    }
+    parts_.clear();
     return st;
   }
 
   std::uint64_t bytes_written() const noexcept override { return bytes_; }
 
  private:
+  friend class SegmentBackendImpl;
+
   SegmentBackendImpl& backend_;
   std::string key_;
-  std::vector<std::vector<std::byte>> parts_;
+  Crc32 crc_;  ///< of every byte written
   std::uint64_t bytes_ = 0;
+  /// A stream's record starts here, at the active_end_ of its lease.
+  std::uint64_t record_off_ = 0;
+  WritebackHint writeback_;  ///< a durable stream's early writeback
+  std::vector<std::vector<std::byte>> parts_;  ///< a buffered object
+  Status error_;  ///< set when a stream's bytes could not be kept
   bool closed_ = false;
 };
 
@@ -578,7 +651,97 @@ Result<std::unique_ptr<Writer>> SegmentBackendImpl::create(
   if (key.empty() || key.size() > kMaxKeyLen) {
     return invalid_argument("bad key length: " + key);
   }
-  return std::unique_ptr<Writer>(new SegmentWriter(*this, key));
+  auto writer = std::make_unique<SegmentWriter>(*this, key);
+  Status st;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stream_ == nullptr) st = lease_locked(*writer);
+  }
+  // On failure the writer dies here, after the lock is released.
+  ICKPT_RETURN_IF_ERROR(st);
+  return std::unique_ptr<Writer>(std::move(writer));
+}
+
+Status SegmentBackendImpl::lease_locked(SegmentWriter& w) {
+  ICKPT_RETURN_IF_ERROR(ensure_room_locked());
+  stream_ = &w;
+  w.record_off_ = active_end_;
+  w.writeback_ = WritebackHint(active_end_);
+  return Status::ok();
+}
+
+Status SegmentBackendImpl::stream_locked(SegmentWriter& w,
+                                         std::span<const std::byte> data) {
+  const std::uint64_t payload_off =
+      w.record_off_ + sizeof(RecordHeader) + w.key_.size();
+  Status st;
+  if (w.bytes_ == 0) {
+    // The record's first bytes go out with the placeholder and the key.
+    const std::span<const std::byte> pieces[] = {header_bytes(kPlaceholder),
+                                                 key_bytes(w.key_), data};
+    st = ioutil::pwrite_full(active_->fd, pieces, w.record_off_);
+  } else {
+    const std::span<const std::byte> pieces[] = {data};
+    st = ioutil::pwrite_full(active_->fd, pieces, payload_off + w.bytes_);
+  }
+  if (!st.is_ok()) {
+    abort_locked(w);
+    w.error_ = st;
+    return st;
+  }
+  w.bytes_ += data.size();
+  if (options_.durable) {
+    w.writeback_.advance(active_->fd, payload_off + w.bytes_);
+  }
+  return Status::ok();
+}
+
+Status SegmentBackendImpl::finish_stream_locked(SegmentWriter& w) {
+  stream_ = nullptr;
+  const std::uint32_t crc = w.crc_.value();
+  const RecordHeader h = make_header(kObject, w.key_, w.bytes_, crc);
+  // The real header goes last: until it lands, the placeholder keeps
+  // the record invisible to a reopen.  An empty object never wrote its
+  // key, so it goes too.
+  const std::span<const std::byte> pieces[] = {header_bytes(h),
+                                               key_bytes(w.key_)};
+  auto st = ioutil::pwrite_full(
+      active_->fd, std::span(pieces).first(w.bytes_ == 0 ? 2 : 1),
+      w.record_off_);
+  if (!st.is_ok()) {
+    (void)truncate_tail_locked();
+    return st;
+  }
+  ICKPT_RETURN_IF_ERROR(landed_locked(kObject, w.key_, w.bytes_, crc));
+  index_object_locked(w.key_, w.bytes_, crc);
+  total_.fetch_add(w.bytes_, std::memory_order_relaxed);
+  return Status::ok();
+}
+
+void SegmentBackendImpl::abort_locked(SegmentWriter& w) {
+  if (stream_ == &w) {
+    stream_ = nullptr;
+    (void)truncate_tail_locked();  // the next record lands where it began
+  }
+}
+
+Status SegmentBackendImpl::demote_stream_locked() {
+  if (stream_ == nullptr) return Status::ok();
+  SegmentWriter& w = *stream_;
+  stream_ = nullptr;
+  SegmentMetrics::get().demotions.inc();
+  const std::uint64_t payload_off =
+      w.record_off_ + sizeof(RecordHeader) + w.key_.size();
+  for (std::uint64_t done = 0; done < w.bytes_ && w.error_.is_ok();) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kPartBytes, w.bytes_ - done));
+    w.parts_.push_back(new_part());
+    w.parts_.back().resize(n);
+    w.error_ = pread_exact(active_->fd, w.parts_.back().data(), n,
+                           payload_off + done, active_->path);
+    done += n;
+  }
+  return truncate_tail_locked();
 }
 
 Result<std::vector<Rec>> SegmentBackendImpl::load_records(
@@ -761,11 +924,7 @@ Status SegmentBackendImpl::compact() {
         const std::span<const std::byte> whole[] = {payload};
         ICKPT_RETURN_IF_ERROR(
             append_locked(kObject, r.key, whole, r.payload_crc));
-        drop_entry_locked(index_.find(r.key));
-        index_[r.key] =
-            IndexEntry{active_, active_end_ - r.payload_len, r.payload_len,
-                       r.payload_crc};
-        active_->live_bytes += r.payload_len;
+        index_object_locked(r.key, r.payload_len, r.payload_crc);
       } else if (!lowest_survivor && index_.count(r.key) == 0) {
         // A tombstone still shadowing an object in some older
         // surviving segment must move forward with us, or a rebuild

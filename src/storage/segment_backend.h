@@ -10,6 +10,10 @@
 //   * writes are strictly sequential appends into the active segment;
 //     a commit is one record append plus (when durable) one fdatasync
 //     on an already-open fd — no per-object open/rename/dir-sync;
+//   * one writer at a time streams its object straight into the
+//     segment, header last; the others buffer until close(), and any
+//     other append first demotes the open stream to a buffered writer
+//     (DESIGN.md §12);
 //   * an in-memory index (key -> segment/offset/length) is rebuilt on
 //     open, from a validated on-disk footer for sealed segments and by
 //     a record scan (torn tail dropped) for unsealed ones;
@@ -43,7 +47,8 @@ struct SegmentBackendOptions {
 
   /// fdatasync the segment after every committed record, so close()
   /// returning OK means the object survives a crash (same contract as
-  /// FileBackendOptions::durable_publish).  Off = visibility without
+  /// FileBackendOptions::durable_publish), and start device writeback
+  /// of a streamed object as it is written.  Off = visibility without
   /// durability until the next sync()/seal; only for stores whose loss
   /// is acceptable.
   bool durable = true;

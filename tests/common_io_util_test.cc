@@ -94,6 +94,38 @@ TEST(IoUtilTest, WriteFullReportsErrno) {
   ::close(fds[1]);
 }
 
+TEST(IoUtilTest, PwriteFullGathersPiecesAtAnOffsetAndLeavesThePosition) {
+  char path[] = "/tmp/ickpt_pwrite_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::unlink(path);
+  // More pieces than one pwritev batch takes, some of them empty, so
+  // the loop has to resume mid-list.
+  std::vector<std::string> strings;
+  for (int i = 0; i < 150; ++i) {
+    strings.push_back(i % 7 == 0 ? "" : std::to_string(i) + ",");
+  }
+  std::vector<std::span<const std::byte>> pieces;
+  std::string expect = "head";
+  for (const auto& s : strings) {
+    pieces.push_back(as_bytes(s));
+    expect += s;
+  }
+  ASSERT_TRUE(write_full(fd, as_bytes("head")).is_ok());
+  ASSERT_TRUE(pwrite_full(fd, pieces, 4).is_ok());
+  EXPECT_EQ(::lseek(fd, 0, SEEK_CUR), 4);  // position untouched
+  std::vector<std::byte> got(expect.size() + 1);
+  ASSERT_EQ(::pread(fd, got.data(), got.size(), 0),
+            static_cast<ssize_t>(expect.size()));
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), expect.size()), 0);
+
+  const std::span<const std::byte> none[] = {as_bytes("")};
+  EXPECT_TRUE(pwrite_full(fd, none, 0).is_ok());
+  ::close(fd);
+  const std::span<const std::byte> one[] = {as_bytes("x")};
+  EXPECT_EQ(pwrite_full(fd, one, 0).code(), ErrorCode::kIoError);
+}
+
 TEST(IoUtilTest, GenericReadFullHandlesChunkedSources) {
   // A source that returns at most 3 bytes per call.
   const std::string payload = "0123456789abcdef";

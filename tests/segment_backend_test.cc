@@ -1,7 +1,9 @@
 // SegmentBackend-specific behavior: reopen persistence (footer fast
 // path and unsealed-scan path), torn-tail truncation, tombstone
-// durability, compaction correctness, and byte-equivalence of a full
-// checkpoint/restore chain against FileBackend (the oracle).
+// durability, compaction correctness, byte-equivalence of a full
+// checkpoint/restore chain against FileBackend (the oracle), and the
+// streaming writer: what a stream leaves on disk at each point, and
+// the demotions that keep records from interleaving.
 #include "storage/segment_backend.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,8 +24,10 @@
 #include "common/page.h"
 #include "common/rng.h"
 #include "memtrack/explicit_engine.h"
+#include "obs/metrics.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
+#include "storage/writeback.h"
 
 namespace ickpt::storage {
 namespace {
@@ -54,6 +59,38 @@ void put(StorageBackend& backend, const std::string& key,
   ASSERT_TRUE((*w)->close().is_ok());
 }
 
+std::vector<std::byte> pattern(std::size_t size, std::uint64_t seed) {
+  std::vector<std::byte> out(size);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next_u64());
+  return out;
+}
+
+void write_in_pieces(Writer& w, std::span<const std::byte> data,
+                     std::size_t piece = 256 * 1024) {
+  while (!data.empty()) {
+    const std::size_t n = std::min(data.size(), piece);
+    ASSERT_TRUE(w.write(data.first(n)).is_ok());
+    data = data.subspan(n);
+  }
+}
+
+void expect_object(StorageBackend& backend, const std::string& key,
+                   const std::vector<std::byte>& payload) {
+  auto reader = backend.open(key);
+  ASSERT_TRUE(reader.is_ok()) << key << ": " << reader.status().message();
+  ASSERT_EQ((*reader)->size(), payload.size()) << key;
+  std::vector<std::byte> got(payload.size());
+  auto n = (*reader)->read_at(0, got);
+  ASSERT_TRUE(n.is_ok());
+  ASSERT_EQ(*n, payload.size()) << key;
+  EXPECT_TRUE(got == payload) << key << " differs";
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::registry().counter(name).value();
+}
+
 class SegmentBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -70,8 +107,16 @@ class SegmentBackendTest : public ::testing::Test {
   }
 
   std::vector<fs::path> segment_files() const {
+    return segment_files_in(dir_);
+  }
+
+ public:
+  const std::string& dir() const { return dir_; }
+
+ protected:
+  static std::vector<fs::path> segment_files_in(const std::string& dir) {
     std::vector<fs::path> out;
-    for (const auto& e : fs::directory_iterator(dir_)) {
+    for (const auto& e : fs::directory_iterator(dir)) {
       if (e.path().extension() == ".seg") out.push_back(e.path());
     }
     std::sort(out.begin(), out.end());
@@ -102,12 +147,6 @@ TEST_F(SegmentBackendTest, ObjectsWrittenInManyPiecesSurviveReopen) {
   // Over 3 MiB in uneven writes, so the writer's buffer spans several
   // parts and no write lines up with a part boundary; then a smaller
   // object that refills the first object's reused parts.
-  auto pattern = [](std::size_t size, std::uint64_t seed) {
-    std::vector<std::byte> out(size);
-    Rng rng(seed);
-    for (auto& b : out) b = static_cast<std::byte>(rng.next_u64());
-    return out;
-  };
   const std::vector<std::pair<std::string, std::vector<std::byte>>> objects =
       {{"big", pattern((3u << 20) + 5, 41)},
        {"next", pattern((1u << 20) + 77, 42)}};
@@ -487,6 +526,370 @@ TEST_F(SegmentBackendTest, NonDurableModeSyncsOnDemand) {
   put(**b, "lazy", "written without per-commit fsync");
   ASSERT_TRUE((*b)->sync().is_ok());
   EXPECT_EQ(read_all(**b, "lazy"), "written without per-commit fsync");
+}
+
+// ---------------------------------------------------------------- streams
+// A writer that finds the active segment's tail free streams its object
+// straight into the segment, header last.  These cases pin down what a
+// stream leaves on disk at each point, and that every other append
+// demotes an open stream without losing a byte.
+
+class SegmentStreamTest : public SegmentBackendTest {
+ public:
+  /// A copy of the store in `from` (default: the live one), named
+  /// `name`.  Taken while the store is open, it is what a crash at that
+  /// moment would leave: every byte written so far, nothing sealed.
+  std::string copy_store(const std::string& name, std::string from = {}) {
+    if (from.empty()) from = dir_;
+    const std::string copy = dir_ + "_" + name;
+    fs::remove_all(copy);
+    fs::create_directories(copy);
+    for (const auto& seg : segment_files_in(from)) {
+      fs::copy_file(seg, fs::path(copy) / seg.filename());
+    }
+    copies_.push_back(copy);
+    return copy;
+  }
+
+ protected:
+  void TearDown() override {
+    for (const auto& copy : copies_) fs::remove_all(copy);
+    SegmentBackendTest::TearDown();
+  }
+
+  std::vector<std::string> copies_;
+};
+
+TEST_F(SegmentStreamTest, StreamedObjectIsByteExactBeforeAndAfterReopen) {
+  const auto big = pattern((5u << 20) + 123, 1);
+  const auto small = pattern(3000, 2);
+  const std::uint64_t demotions = counter("storage.segment_demotions");
+  const std::uint64_t hints = counter("storage.writeback_calls");
+  {
+    auto b = open();
+    ASSERT_TRUE(b.is_ok()) << b.status().message();
+    put(**b, "first", "opens the segment");
+    const std::uint64_t fsyncs = counter("storage.fsync_calls");
+    for (const auto& [key, payload] :
+         {std::pair{"big", &big}, std::pair{"small", &small}}) {
+      auto w = (*b)->create(key);
+      ASSERT_TRUE(w.is_ok());
+      write_in_pieces(**w, *payload);
+      // Nothing is visible until close() writes the header.
+      EXPECT_FALSE((*b)->exists(key));
+      ASSERT_TRUE((*w)->close().is_ok());
+      expect_object(**b, key, *payload);
+    }
+    // One fdatasync per object, as a buffered commit makes.
+    EXPECT_EQ(counter("storage.fsync_calls") - fsyncs, 2u);
+    EXPECT_GE(counter("storage.writeback_calls") - hints,
+              big.size() / kWritebackSpan);
+    EXPECT_EQ((*b)->total_bytes_stored(),
+              std::string("opens the segment").size() + big.size() +
+                  small.size());
+  }
+  EXPECT_EQ(counter("storage.segment_demotions"), demotions);
+  auto b = open();
+  ASSERT_TRUE(b.is_ok()) << b.status().message();
+  expect_object(**b, "big", big);
+  expect_object(**b, "small", small);
+  EXPECT_EQ(read_all(**b, "first"), "opens the segment");
+  EXPECT_EQ((*b)->stats().torn_records, 0u);
+}
+
+TEST_F(SegmentStreamTest, WriterDestroyedBeforeCloseLeavesNoObject) {
+  const auto lost = pattern(700 * 1024, 3);
+  const auto next = pattern(1000, 4);
+  {
+    auto b = open();
+    ASSERT_TRUE(b.is_ok());
+    put(**b, "kept", "committed first");
+    const auto segs = segment_files();
+    ASSERT_EQ(segs.size(), 1u);
+    const std::uint64_t tail = fs::file_size(segs[0]);
+    {
+      auto w = (*b)->create("lost");
+      ASSERT_TRUE(w.is_ok());
+      write_in_pieces(**w, lost);
+      EXPECT_GT(fs::file_size(segs[0]), tail);
+    }  // destroyed unclosed
+    EXPECT_FALSE((*b)->exists("lost"));
+    EXPECT_EQ(fs::file_size(segs[0]), tail);
+    // The next record lands where the abandoned one began.
+    auto w = (*b)->create("next");
+    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE((*w)->write(next).is_ok());
+    ASSERT_TRUE((*w)->close().is_ok());
+    EXPECT_EQ(fs::file_size(segs[0]),
+              tail + 28 + std::string("next").size() + next.size());
+    expect_object(**b, "next", next);
+  }
+  auto b = open();
+  ASSERT_TRUE(b.is_ok());
+  EXPECT_FALSE((*b)->exists("lost"));
+  EXPECT_EQ(read_all(**b, "kept"), "committed first");
+  expect_object(**b, "next", next);
+  EXPECT_EQ((*b)->stats().torn_records, 0u);
+}
+
+TEST_F(SegmentStreamTest, PlaceholderHeaderAtTheTailIsDroppedOnReopen) {
+  const auto early = pattern(40000, 5);
+  const auto open_stream = pattern(3u << 20, 6);
+  std::string crashed_empty, crashed_mid;
+  {
+    auto b = open();
+    ASSERT_TRUE(b.is_ok());
+    put(**b, "a", "alpha");
+    auto w = (*b)->create("early");
+    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE((*w)->write(early).is_ok());
+    ASSERT_TRUE((*w)->close().is_ok());
+    auto s = (*b)->create("streaming");
+    ASSERT_TRUE(s.is_ok());
+    ASSERT_TRUE((*s)->write(std::span(open_stream).first(1)).is_ok());
+    crashed_empty = copy_store("one_byte");
+    write_in_pieces(**s, std::span(open_stream).subspan(1));
+    crashed_mid = copy_store("mid_stream");
+  }
+  for (const auto& copy : {crashed_empty, crashed_mid}) {
+    auto b = SegmentBackend::open_store(copy, {});
+    ASSERT_TRUE(b.is_ok()) << b.status().message();
+    EXPECT_FALSE((*b)->exists("streaming")) << copy;
+    EXPECT_EQ(read_all(**b, "a"), "alpha") << copy;
+    expect_object(**b, "early", early);
+    EXPECT_EQ((*b)->stats().live_objects, 2u) << copy;
+    EXPECT_EQ((*b)->stats().torn_records, 1u) << copy;
+  }
+}
+
+TEST_F(SegmentStreamTest, HeaderWithShortOrMismatchedPayloadIsDropped) {
+  const auto early = pattern(5000, 7);
+  const auto last = pattern((2u << 20) + 9, 8);
+  std::string crashed;
+  {
+    auto b = open();
+    ASSERT_TRUE(b.is_ok());
+    auto w = (*b)->create("early");
+    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE((*w)->write(early).is_ok());
+    ASSERT_TRUE((*w)->close().is_ok());
+    auto s = (*b)->create("last");
+    ASSERT_TRUE(s.is_ok());
+    write_in_pieces(**s, last);
+    ASSERT_TRUE((*s)->close().is_ok());
+    crashed = copy_store("committed");  // header landed, no footer yet
+  }
+  ASSERT_EQ(segment_files_in(crashed).size(), 1u);
+  const fs::path seg = segment_files_in(crashed).front();
+  const std::uint64_t size = fs::file_size(seg);
+  {
+    // The header landed, the end of its payload did not: a short tail.
+    const std::string short_copy = copy_store("short", crashed);
+    fs::resize_file(fs::path(short_copy) / seg.filename(), size - 1000);
+    auto b = SegmentBackend::open_store(short_copy, {});
+    ASSERT_TRUE(b.is_ok()) << b.status().message();
+    EXPECT_FALSE((*b)->exists("last"));
+    expect_object(**b, "early", early);
+    EXPECT_EQ((*b)->stats().torn_records, 1u);
+  }
+  {
+    // All of it landed, but one byte is not what the header's CRC
+    // covers: the header landed before that page of payload did.
+    std::fstream f(seg, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(size - (1u << 20)));
+    const char flipped = static_cast<char>(~static_cast<unsigned char>(
+        last[last.size() - (1u << 20)]));
+    f.write(&flipped, 1);
+  }
+  auto b = SegmentBackend::open_store(crashed, {});
+  ASSERT_TRUE(b.is_ok()) << b.status().message();
+  EXPECT_FALSE((*b)->exists("last"));
+  expect_object(**b, "early", early);
+  EXPECT_EQ((*b)->stats().torn_records, 1u);
+}
+
+/// Opens a stream on "streamed", writes half of its payload, runs
+/// `interrupt` (another append), writes the rest and closes; the
+/// stream must have been demoted exactly once and every object must
+/// be byte-exact before and after reopen.
+template <typename F>
+void demote_round(SegmentStreamTest& t, SegmentBackendOptions opt,
+                  F&& interrupt,
+                  std::vector<std::pair<std::string, std::vector<std::byte>>>
+                      expect) {
+  const auto streamed = pattern((3u << 20) + 17, 9);
+  const auto half = std::span(streamed).first(streamed.size() / 2);
+  const auto rest = std::span(streamed).subspan(half.size());
+  {
+    auto b = SegmentBackend::open_store(t.dir(), opt);
+    ASSERT_TRUE(b.is_ok()) << b.status().message();
+    ASSERT_NO_FATAL_FAILURE(interrupt(**b, /*setup=*/true));
+    auto s = (*b)->create("streamed");
+    ASSERT_TRUE(s.is_ok());
+    write_in_pieces(**s, half);
+    const std::uint64_t demotions = counter("storage.segment_demotions");
+    ASSERT_NO_FATAL_FAILURE(interrupt(**b, /*setup=*/false));
+    EXPECT_EQ(counter("storage.segment_demotions") - demotions, 1u);
+    {
+      // The demotion cut the streamed bytes off the tail: a crash now
+      // leaves only whole records, and every object committed so far.
+      auto crashed = SegmentBackend::open_store(
+          t.copy_store("after_demotion"), opt);
+      ASSERT_TRUE(crashed.is_ok()) << crashed.status().message();
+      EXPECT_EQ((*crashed)->stats().torn_records, 0u);
+      EXPECT_FALSE((*crashed)->exists("streamed"));
+      for (const auto& [key, payload] : expect) {
+        expect_object(**crashed, key, payload);
+      }
+    }
+    write_in_pieces(**s, rest);
+    ASSERT_TRUE((*s)->close().is_ok());
+    expect.emplace_back("streamed", streamed);
+    for (const auto& [key, payload] : expect) expect_object(**b, key, payload);
+  }
+  auto b = SegmentBackend::open_store(t.dir(), opt);
+  ASSERT_TRUE(b.is_ok()) << b.status().message();
+  for (const auto& [key, payload] : expect) expect_object(**b, key, payload);
+  EXPECT_EQ((*b)->stats().live_objects, expect.size());
+  EXPECT_EQ((*b)->stats().torn_records, 0u);
+}
+
+TEST_F(SegmentStreamTest, BufferedCommitDemotesTheOpenStream) {
+  const auto buffered = pattern((1u << 20) + 5, 10);
+  demote_round(*this, {}, [&](SegmentBackend& b, bool setup) {
+    if (setup) return;
+    auto w = b.create("buffered");  // the lease is taken: it buffers
+    ASSERT_TRUE(w.is_ok());
+    write_in_pieces(**w, buffered, 100000);
+    ASSERT_TRUE((*w)->close().is_ok());
+  }, {{"buffered", buffered}});
+}
+
+TEST_F(SegmentStreamTest, RemoveDemotesTheOpenStream) {
+  const auto kept = pattern(2000, 11);
+  demote_round(*this, {}, [&](SegmentBackend& b, bool setup) {
+    if (setup) {
+      put(b, "doomed", "deleted while a stream is open");
+      auto w = b.create("kept");
+      ASSERT_TRUE(w.is_ok());
+      ASSERT_TRUE((*w)->write(kept).is_ok());
+      ASSERT_TRUE((*w)->close().is_ok());
+      return;
+    }
+    ASSERT_TRUE(b.remove("doomed").is_ok());
+    EXPECT_FALSE(b.exists("doomed"));
+  }, {{"kept", kept}});
+}
+
+TEST_F(SegmentStreamTest, CompactDemotesTheOpenStream) {
+  SegmentBackendOptions opt;
+  opt.segment_bytes = 4 << 10;
+  std::vector<std::pair<std::string, std::vector<std::byte>>> objects;
+  for (int i = 0; i < 6; ++i) {
+    objects.emplace_back("obj-" + std::to_string(i),
+                         pattern(1500, 20 + static_cast<std::uint64_t>(i)));
+  }
+  demote_round(*this, opt, [&](SegmentBackend& b, bool setup) {
+    if (setup) {
+      // Two segments' worth, then rewrite every other object, so the
+      // sealed segments are mostly dead but still hold live objects
+      // that compaction must move past the open stream.
+      for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < objects.size(); i += round + 1) {
+          auto w = b.create(objects[i].first);
+          ASSERT_TRUE(w.is_ok());
+          ASSERT_TRUE((*w)->write(objects[i].second).is_ok());
+          ASSERT_TRUE((*w)->close().is_ok());
+        }
+      }
+      return;
+    }
+    ASSERT_TRUE(b.compact().is_ok());
+  }, objects);
+}
+
+TEST_F(SegmentStreamTest, ConcurrentWritersNeverInterleave) {
+  // Writers on several threads contend for the one lease: streams are
+  // demoted by other threads' commits while they write.
+  constexpr int kThreads = 4;
+  constexpr int kObjects = 12;
+  SegmentBackendOptions opt;
+  opt.durable = false;  // contention, not device time, is under test
+  std::vector<std::vector<std::byte>> payloads;
+  for (int k = 0; k < kThreads * kObjects; ++k) {
+    payloads.push_back(pattern(1000 + 37000 * static_cast<std::size_t>(k % 11),
+                               static_cast<std::uint64_t>(100 + k)));
+  }
+  auto payload_of = [&](int t, int i) -> const std::vector<std::byte>& {
+    return payloads[static_cast<std::size_t>(t * kObjects + i)];
+  };
+  const std::uint64_t demotions = counter("storage.segment_demotions");
+  {
+    auto b = open(opt);
+    ASSERT_TRUE(b.is_ok());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kObjects; ++i) {
+          auto w = (*b)->create("t" + std::to_string(t) + "/" +
+                                std::to_string(i));
+          ASSERT_TRUE(w.is_ok());
+          std::span<const std::byte> rest(payload_of(t, i));
+          while (!rest.empty()) {
+            const std::size_t n = std::min<std::size_t>(rest.size(), 4096);
+            ASSERT_TRUE((*w)->write(rest.first(n)).is_ok());
+            rest = rest.subspan(n);
+            std::this_thread::yield();  // let the others at the lock
+          }
+          ASSERT_TRUE((*w)->close().is_ok());
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_GT(counter("storage.segment_demotions"), demotions);
+    for (int t = 0; t < kThreads; ++t) {
+      for (int i = 0; i < kObjects; ++i) {
+        expect_object(**b, "t" + std::to_string(t) + "/" + std::to_string(i),
+                      payload_of(t, i));
+      }
+    }
+  }
+  auto b = open(opt);
+  ASSERT_TRUE(b.is_ok());
+  EXPECT_EQ((*b)->stats().live_objects,
+            static_cast<std::uint64_t>(kThreads * kObjects));
+  EXPECT_EQ((*b)->stats().torn_records, 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kObjects; ++i) {
+      expect_object(**b, "t" + std::to_string(t) + "/" + std::to_string(i),
+                    payload_of(t, i));
+    }
+  }
+}
+
+TEST_F(SegmentStreamTest, NonDurableStreamHintsNothingAndSyncsNothing) {
+  SegmentBackendOptions opt;
+  opt.durable = false;
+  const auto payload = pattern(3u << 20, 12);
+  auto b = open(opt);
+  ASSERT_TRUE(b.is_ok());
+  const std::uint64_t hints = counter("storage.writeback_calls");
+  const std::uint64_t fsyncs = counter("storage.fsync_calls");
+  for (const char* key : {"one", "two"}) {
+    auto w = (*b)->create(key);
+    ASSERT_TRUE(w.is_ok());
+    write_in_pieces(**w, payload);
+    ASSERT_TRUE((*w)->close().is_ok());
+    expect_object(**b, key, payload);
+  }
+  EXPECT_EQ(counter("storage.writeback_calls"), hints);
+  EXPECT_EQ(counter("storage.fsync_calls"), fsyncs);
+  ASSERT_TRUE((*b)->sync().is_ok());
+  b->reset();
+  auto reopened = open(opt);
+  ASSERT_TRUE(reopened.is_ok());
+  expect_object(**reopened, "one", payload);
+  expect_object(**reopened, "two", payload);
 }
 
 }  // namespace

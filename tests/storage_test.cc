@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "obs/metrics.h"
+#include "storage/writeback.h"
 #include "tests/support/faulty_backend.h"
 
 namespace ickpt::storage {
@@ -262,6 +263,34 @@ TEST(DurablePublishTest, OptOutSkipsTheSyncs) {
   EXPECT_EQ(fsyncs.value(), before);
   EXPECT_EQ(read_all(**backend, "obj"), "scratch data");
   std::filesystem::remove_all(dir);
+}
+
+TEST(DurablePublishTest, DurableFileWriterStartsWritebackAsItWrites) {
+  for (const bool durable : {true, false}) {
+    std::string dir = ::testing::TempDir() + "/ickpt_writeback_test";
+    std::filesystem::remove_all(dir);
+    auto& hints = obs::registry().counter("storage.writeback_calls");
+    FileBackendOptions options;
+    options.durable_publish = durable;
+    auto backend = make_file_backend(dir, options);
+    ASSERT_TRUE(backend.is_ok());
+    const std::string piece(256 * 1024, 'w');
+    const std::uint64_t before = hints.value();
+    auto w = (*backend)->create("obj");
+    ASSERT_TRUE(w.is_ok());
+    std::uint64_t written = 0;
+    for (int i = 0; i < 13; ++i) {
+      ASSERT_TRUE((*w)->write(as_bytes(piece)).is_ok());
+      written += piece.size();
+    }
+    ASSERT_TRUE((*w)->close().is_ok());
+    // One hint per completed span (no write spans two), none when the
+    // store is not durable.
+    EXPECT_EQ(hints.value() - before, durable ? written / kWritebackSpan : 0)
+        << "durable " << durable;
+    EXPECT_EQ(read_all(**backend, "obj").size(), written);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(DurablePublishTest, SegmentCommitSyncsToo) {

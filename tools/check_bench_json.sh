@@ -113,6 +113,18 @@ for f in "$@"; do
       status=1
       continue
     fi
+    # The segment store streams each object into its segment, so the
+    # same bytes cost it at most 1.3x what one file per object costs.
+    if ! jq -e '
+        .quick or
+        (([.arms[] | select(.name == "segment_write")] | first | .wall_s)
+         <= 1.3 * ([.arms[] | select(.name == "file_buffered_write")] |
+                   first | .wall_s))
+        ' "$f" > /dev/null; then
+      echo "FAIL $f: segment_write above 1.3x file_buffered_write" >&2
+      status=1
+      continue
+    fi
   fi
   # X9 (bench "restore") must carry the file and segment chain arms,
   # and where it has the 1+0 chain (not in quick mode), the planned
