@@ -74,6 +74,15 @@ std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence) {
   return buf;
 }
 
+bool parse_checkpoint_key(const std::string& key, std::uint64_t* sequence) {
+  unsigned long long r = 0, s = 0;
+  if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) != 2) {
+    return false;
+  }
+  *sequence = s;
+  return true;
+}
+
 Checkpointer::Checkpointer(region::AddressSpace& space,
                            storage::StorageBackend& storage,
                            CheckpointerOptions options)
@@ -502,6 +511,14 @@ Result<CheckpointMeta> Checkpointer::write_object(
   metrics.zero_pages.inc(zero_pages);
   metrics.rle_pages.inc(rle_pages);
   return meta;
+}
+
+Status Checkpointer::start_at(std::uint64_t sequence) {
+  if (!chain_.empty()) {
+    return failed_precondition("start_at after the first checkpoint");
+  }
+  next_seq_ = sequence;
+  return Status::ok();
 }
 
 Status Checkpointer::truncate_before_last_full() {

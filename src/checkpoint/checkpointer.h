@@ -78,6 +78,11 @@ class Checkpointer {
 
   std::uint64_t next_sequence() const noexcept { return next_seq_; }
 
+  /// Number the first checkpoint `sequence` instead of 0, so a writer
+  /// that takes over a store can write above every key already in it.
+  /// Fails once a checkpoint has been written.
+  Status start_at(std::uint64_t sequence);
+
  private:
   Checkpointer(region::AddressSpace& space, storage::StorageBackend& storage,
                CheckpointerOptions options);

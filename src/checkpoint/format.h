@@ -105,4 +105,8 @@ static_assert(sizeof(FileTrailer) == 20);
 /// Defined here so writer, restorer and GC agree on the layout.
 std::string checkpoint_key(std::uint32_t rank, std::uint64_t sequence);
 
+/// The sequence a "rank<r>/ckpt-<s>" key names, at any zero-pad width;
+/// false for any other key.
+bool parse_checkpoint_key(const std::string& key, std::uint64_t* sequence);
+
 }  // namespace ickpt::checkpoint

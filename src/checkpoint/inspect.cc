@@ -85,12 +85,7 @@ bool place(storage::StorageBackend& storage, const std::string& key,
       return true;
     }
   }
-  unsigned long long r = 0, s = 0;
-  if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) == 2) {
-    at->sequence = s;
-    return true;
-  }
-  return false;
+  return parse_checkpoint_key(key, &at->sequence);
 }
 
 /// One object of a rank's chain as repair sees it.
@@ -160,7 +155,6 @@ Status quarantine(storage::StorageBackend& storage, const std::string& key,
 }  // namespace
 
 bool StoreReport::healthy() const noexcept {
-  if (!problems.empty()) return false;
   for (const auto& [rank, chain] : chains) {
     if (!chain.healthy()) return false;
   }
@@ -247,42 +241,17 @@ Result<StoreReport> inspect_store(storage::StorageBackend& storage) {
   std::vector<std::uint32_t> ranks;
   for (const auto& key : *keys) {
     std::uint32_t rank = 0;
-    if (parse_rank_key(key, &rank)) {
-      if (std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
-        ranks.push_back(rank);
-      }
-    } else if (key.rfind("commit/", 0) == 0) {
-      std::uint64_t seq = 0;
-      if (std::sscanf(key.c_str(), "commit/%llu",
-                      reinterpret_cast<unsigned long long*>(&seq)) == 1) {
-        report.commit_markers.push_back(seq);
-      } else {
-        report.problems.push_back("unparseable commit marker: " + key);
-      }
+    if (parse_rank_key(key, &rank) &&
+        std::find(ranks.begin(), ranks.end(), rank) == ranks.end()) {
+      ranks.push_back(rank);
     }
   }
-  std::sort(report.commit_markers.begin(), report.commit_markers.end());
   std::sort(ranks.begin(), ranks.end());
 
   for (std::uint32_t rank : ranks) {
     auto chain = inspect_chain(storage, rank);
     if (!chain.is_ok()) return chain.status();
     report.chains.emplace(rank, std::move(chain.value()));
-  }
-
-  // Every committed sequence must be restorable *at that sequence* on
-  // every rank (restoring an older state silently loses the work the
-  // marker promised was durable).
-  for (std::uint64_t seq : report.commit_markers) {
-    for (const auto& [rank, chain] : report.chains) {
-      auto state = restore_chain(storage, rank, seq);
-      bool covered = state.is_ok() && state->sequence == seq;
-      if (!covered) {
-        report.problems.push_back(
-            "committed sequence " + std::to_string(seq) +
-            " is not restorable on rank " + std::to_string(rank));
-      }
-    }
   }
   return report;
 }
@@ -339,28 +308,6 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
         // `upto` succeeded without it, so quarantining is safe.
         ICKPT_RETURN_IF_ERROR(drop(o.key, o.health.to_string()));
       }
-    }
-  }
-
-  // A commit marker promises its sequence is restorable everywhere;
-  // after truncation such a promise may no longer hold.
-  for (const auto& key : *keys) {
-    if (key.rfind("commit/", 0) != 0) continue;
-    unsigned long long seq = 0;
-    if (std::sscanf(key.c_str(), "commit/%llu", &seq) != 1) {
-      ICKPT_RETURN_IF_ERROR(drop(key, "unparseable commit marker"));
-      continue;
-    }
-    bool stale = false;
-    for (const auto& [rank, upto] : report.recovered_upto) {
-      if (seq > upto) {
-        stale = true;
-        break;
-      }
-    }
-    if (stale) {
-      ICKPT_RETURN_IF_ERROR(
-          drop(key, "commit marker beyond recovered sequence"));
     }
   }
   return report;

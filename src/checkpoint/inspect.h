@@ -2,9 +2,9 @@
 //
 // Walks a storage backend, parses every checkpoint object, validates
 // structure and CRC, checks chain invariants (a full root, contiguous
-// sequences, consistent parent links, per-rank agreement with the
-// commit markers) and reports per-chain statistics.  This is what an
-// operator runs before trusting a store for recovery.
+// sequences, consistent parent links) and reports per-chain
+// statistics.  This is what an operator runs before trusting a store
+// for recovery.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +40,8 @@ struct ChainReport {
 
 struct StoreReport {
   std::map<std::uint32_t, ChainReport> chains;  ///< by rank
-  std::vector<std::uint64_t> commit_markers;    ///< ascending
-  std::vector<std::string> problems;            ///< store-level findings
 
+  /// Every chain is healthy.
   bool healthy() const noexcept;
 };
 
@@ -50,9 +49,7 @@ struct StoreReport {
 Result<ChainReport> inspect_chain(storage::StorageBackend& storage,
                                   std::uint32_t rank);
 
-/// Inspect the whole store: every rank chain plus the commit markers'
-/// consistency (a committed sequence must be restorable on every rank
-/// that has a chain).
+/// Inspect the whole store: every rank chain.
 Result<StoreReport> inspect_store(storage::StorageBackend& storage);
 
 /// Outcome of `fsck --repair`: what was quarantined and where each
@@ -79,10 +76,7 @@ struct RepairReport {
 /// then move everything past it — corrupt tails, orphans whose chain
 /// position cannot be determined, and individually corrupt objects the
 /// restore does not need — under "quarantine/<key>" so no bytes are
-/// destroyed.  Commit
-/// markers that promise a sequence newer than some rank's recovered
-/// prefix are quarantined too.  Idempotent: a second run drops
-/// nothing.
+/// destroyed.  Idempotent: a second run drops nothing.
 Result<RepairReport> repair_store(storage::StorageBackend& storage);
 
 }  // namespace ickpt::checkpoint

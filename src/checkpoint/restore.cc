@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -469,17 +468,6 @@ Status read_index(storage::Reader& in, ObjectIndex& obj) {
   return parse_index(index, trailer.index_offset, obj);
 }
 
-/// Parse "rank<r>/ckpt-<seq>" (any zero-pad width).  Lets the planner
-/// place an object in the chain even when its header is unreadable.
-bool parse_key_sequence(const std::string& key, std::uint64_t* seq) {
-  unsigned long long r = 0, s = 0;
-  if (std::sscanf(key.c_str(), "rank%llu/ckpt-%llu", &r, &s) == 2) {
-    *seq = s;
-    return true;
-  }
-  return false;
-}
-
 struct Candidate {
   std::uint64_t sequence = 0;
   bool header_ok = false;
@@ -655,7 +643,7 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
   std::vector<Candidate> cands;
   cands.reserve(probed.size());
   for (Candidate& c : probed) {
-    if (!c.header_ok && !parse_key_sequence(c.object.key, &c.sequence)) {
+    if (!c.header_ok && !parse_checkpoint_key(c.object.key, &c.sequence)) {
       // Unreadable header and unparseable key: the object cannot even
       // be placed in the chain.
       if (!truncate_tail) return c.header_status;

@@ -1,5 +1,6 @@
 #include "core/recoverable.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "checkpoint/restore.h"
@@ -14,6 +15,37 @@ struct RunMeta {
   std::int64_t last_step = -1;
   std::uint64_t magic = 0x69636b7072756e01ull;  // "ickprun" v1
 };
+
+/// Every key under `rank`'s prefix, and the sequence after the highest
+/// one among them (0 when there is none).
+struct RankKeys {
+  std::vector<std::string> keys;
+  std::uint64_t next_sequence = 0;
+};
+
+Result<RankKeys> list_rank_keys(storage::StorageBackend& backend,
+                                std::uint32_t rank) {
+  auto all = backend.list();
+  if (!all.is_ok()) return all.status();
+  const std::string prefix = "rank" + std::to_string(rank) + "/";
+  RankKeys held;
+  for (std::string& key : *all) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    std::uint64_t seq = 0;
+    if (checkpoint::parse_checkpoint_key(key, &seq)) {
+      held.next_sequence = std::max(held.next_sequence, seq + 1);
+    }
+    held.keys.push_back(std::move(key));
+  }
+  return held;
+}
+
+/// Best effort: a key left behind lies below the new chain, and the
+/// next begin() removes it again.
+void remove_keys(storage::StorageBackend& backend,
+                 const std::vector<std::string>& keys) {
+  for (const std::string& key : keys) (void)backend.remove(key);
+}
 }  // namespace
 
 Result<std::unique_ptr<RecoverableRun>> RecoverableRun::create(
@@ -55,7 +87,7 @@ Result<std::span<std::byte>> RecoverableRun::add_block(std::size_t bytes,
   return ref->mem;
 }
 
-Result<int> RecoverableRun::begin(int max_step) {
+Result<int> RecoverableRun::begin() {
   if (begun_) return failed_precondition("begin() called twice");
   // The meta block is mapped last so user block ids are stable whether
   // or not recovery happens.
@@ -67,93 +99,63 @@ Result<int> RecoverableRun::begin(int max_step) {
   *meta = RunMeta{};
   begun_ = true;
 
-  int resume_step = 0;
+  // The new chain starts above every key this rank already holds, so
+  // it never interleaves with the old one.
+  auto held = list_rank_keys(backend_, options_.rank);
+  if (!held.is_ok()) return held.status();
+  ICKPT_RETURN_IF_ERROR(checkpointer_->start_at(held->next_sequence));
+
   checkpoint::RestoreOptions ropts;
   ropts.allow_truncated_tail = options_.allow_truncated_tail;
   auto state = checkpoint::restore_chain(backend_, options_.rank, ropts);
-  // Honour the resume bound: walk the chain backwards until the
-  // recovered step is within it (coordinated restart must not resume
-  // past the last globally committed step).
-  while (state.is_ok()) {
-    checkpoint::RestoredState& s = state.value();
-    auto it = s.blocks.rbegin();
-    if (it == s.blocks.rend()) break;
-    RunMeta recovered;
-    if (it->second.data.size() < sizeof recovered) break;
-    std::memcpy(&recovered, it->second.data.data(), sizeof recovered);
-    if (recovered.last_step <= max_step) break;
-    if (s.sequence == 0) {
-      state = not_found("no checkpoint at or before the resume bound");
-      break;
+  if (!state.is_ok()) {
+    if (state.status().code() != ErrorCode::kNotFound) {
+      return state.status();  // real storage/corruption problem
     }
-    ropts.upto = s.sequence - 1;
-    state = checkpoint::restore_chain(backend_, options_.rank, ropts);
-  }
-  if (state.is_ok()) {
-    // Recovery path: restored blocks map onto declared blocks by
-    // position (block ids are assigned deterministically: user blocks
-    // in declaration order, then the meta block).
-    if (state->blocks.size() != blocks_.size() + 1) {
-      return corruption(
-          "checkpoint layout does not match declared blocks");
-    }
-    auto it = state->blocks.begin();
-    for (const DeclaredBlock& decl : blocks_) {
-      const auto& restored = it->second;
-      auto span = space_->block_span(decl.id);
-      if (!span.is_ok()) return span.status();
-      if (restored.data.size() != span->size()) {
-        return corruption("block '" + decl.name +
-                          "' size changed across restart");
-      }
-      std::memcpy(span->data(), restored.data.data(), span->size());
-      ++it;
-    }
-    // Last restored block is the meta block.
-    const auto& restored_meta = it->second;
-    if (restored_meta.data.size() < sizeof(RunMeta)) {
-      return corruption("meta block truncated");
-    }
-    RunMeta recovered;
-    std::memcpy(&recovered, restored_meta.data.data(), sizeof recovered);
-    if (recovered.magic != RunMeta{}.magic) {
-      return corruption("meta block magic mismatch");
-    }
-    *meta = recovered;
-    last_step_ = static_cast<int>(recovered.last_step);
-    resume_step = last_step_ + 1;
-    // Continue the existing chain rather than overwriting it.
-    // (Sequence numbers restart per process; keep history separate by
-    // truncating the old chain to its last full + applying ours on
-    // top would interleave sequences, so instead clear and re-seed.)
-    auto keys = backend_.list();
-    if (keys.is_ok()) {
-      const std::string prefix = "rank" + std::to_string(options_.rank) + "/";
-      for (const auto& k : *keys) {
-        if (k.rfind(prefix, 0) == 0) (void)backend_.remove(k);
-      }
-    }
+    // Fresh start.  Nothing here is restorable; drop it.
+    remove_keys(backend_, held->keys);
     ICKPT_RETURN_IF_ERROR(tracker_->arm());
-    // Re-seed with a full checkpoint of the recovered state so a crash
-    // right after recovery still has a valid chain.
-    auto seeded = checkpointer_->checkpoint_full(
-        static_cast<double>(resume_step));
-    if (!seeded.is_ok()) return seeded.status();
-    return resume_step;
+    return 0;
   }
-  if (state.status().code() != ErrorCode::kNotFound) {
-    return state.status();  // real storage/corruption problem
+
+  // Recovery path: restored blocks map onto declared blocks by
+  // position (block ids are assigned deterministically: user blocks
+  // in declaration order, then the meta block).
+  if (state->blocks.size() != blocks_.size() + 1) {
+    return corruption("checkpoint layout does not match declared blocks");
   }
-  // Fresh start.  Remove any stale (never-committed) chain so the
-  // re-seeded sequence numbers don't interleave with dead history.
-  auto keys = backend_.list();
-  if (keys.is_ok()) {
-    const std::string prefix = "rank" + std::to_string(options_.rank) + "/";
-    for (const auto& k : *keys) {
-      if (k.rfind(prefix, 0) == 0) (void)backend_.remove(k);
+  auto it = state->blocks.begin();
+  for (const DeclaredBlock& decl : blocks_) {
+    const auto& restored = it->second;
+    auto span = space_->block_span(decl.id);
+    if (!span.is_ok()) return span.status();
+    if (restored.data.size() != span->size()) {
+      return corruption("block '" + decl.name +
+                        "' size changed across restart");
     }
+    std::memcpy(span->data(), restored.data.data(), span->size());
+    ++it;
   }
+  // Last restored block is the meta block.
+  const auto& restored_meta = it->second;
+  if (restored_meta.data.size() < sizeof(RunMeta)) {
+    return corruption("meta block truncated");
+  }
+  RunMeta recovered;
+  std::memcpy(&recovered, restored_meta.data.data(), sizeof recovered);
+  if (recovered.magic != RunMeta{}.magic) {
+    return corruption("meta block magic mismatch");
+  }
+  *meta = recovered;
+  last_step_ = static_cast<int>(recovered.last_step);
+  const int resume_step = last_step_ + 1;
   ICKPT_RETURN_IF_ERROR(tracker_->arm());
+  // Re-seed with a full checkpoint of the recovered state.  Until it
+  // is stored the old chain is the resume point; after, it is garbage.
+  auto seeded = checkpointer_->checkpoint_full(
+      static_cast<double>(resume_step));
+  if (!seeded.is_ok()) return seeded.status();
+  remove_keys(backend_, held->keys);
   return resume_step;
 }
 

@@ -14,10 +14,10 @@
 // If the process dies, re-running the same program against the same
 // storage restores every block from the newest checkpoint chain and
 // begin() returns the step to resume from.  Dirty tracking makes the
-// periodic checkpoints incremental.
+// periodic checkpoints incremental.  Each rank keeps its own chain
+// under "rank<r>/"; ranks restart independently.
 #pragma once
 
-#include <climits>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,14 +60,12 @@ class RecoverableRun {
                                          std::string name);
 
   /// Start or resume: if the backend holds a checkpoint chain for this
-  /// rank, restore every declared block from it and return the next
+  /// rank, restore every declared block from it, re-seed the chain
+  /// with a full checkpoint of the restored state and return the next
   /// step index; otherwise return 0.  Arms dirty tracking either way.
-  /// `max_step` bounds how far the resume point may lie: recovery
-  /// walks back through the chain until the recovered step is
-  /// <= max_step (coordinated restarts pass the last globally
-  /// committed step; locally newer, never-committed checkpoints are
-  /// discarded).
-  Result<int> begin(int max_step = INT_MAX);
+  /// The old chain is removed only after the re-seed is stored, so a
+  /// failed or interrupted begin() leaves the previous resume point.
+  Result<int> begin();
 
   /// Record step completion; takes an incremental checkpoint every
   /// `checkpoint_every` steps (and garbage-collects obsolete chain

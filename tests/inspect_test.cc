@@ -4,13 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "checkpoint/checkpointer.h"
-#include "checkpoint/coordinated.h"
 #include "checkpoint/format.h"
+#include "checkpoint/restore.h"
 #include "common/rng.h"
 #include "memtrack/explicit_engine.h"
-#include "minimpi/comm.h"
 #include "region/address_space.h"
 #include "storage/backend.h"
 #include "tests/chunked_backend_fake.h"
@@ -180,55 +182,63 @@ TEST_F(InspectTest, IncrementalOnlyChainIsUnrecoverable) {
   EXPECT_TRUE(found);
 }
 
-TEST(InspectStoreTest, MultiRankStoreWithCommits) {
+TEST(InspectStoreTest, ConcurrentRankChainsShareOneStore) {
+  // Three ranks write their chains into one store at the same time, as
+  // the ranks of one job do.
+  constexpr std::uint32_t kRanks = 3;
   auto storage = storage::make_memory_backend();
-  mpi::Runtime::run(3, [&](mpi::Comm& comm) {
-    ExplicitEngine engine;
-    AddressSpace space(engine, "r" + std::to_string(comm.rank()));
-    auto block = space.map(2 * page_size(), AreaKind::kHeap, "b");
-    ASSERT_TRUE(block.is_ok());
-    CheckpointerOptions opts;
-    opts.rank = static_cast<std::uint32_t>(comm.rank());
-    auto local = Checkpointer::create(space, storage.get(), opts).value();
-    ASSERT_TRUE(engine.arm().is_ok());
-    for (int round = 0; round < 2; ++round) {
-      auto snap = engine.collect(true);
-      ASSERT_TRUE(snap.is_ok());
-      ASSERT_TRUE(CoordinatedCheckpointer::checkpoint(
-                      comm, *local, *snap, round, *storage)
-                      .is_ok());
-    }
-  });
+  std::vector<std::vector<std::byte>> truth(kRanks);
+  std::latch start(kRanks);
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&, r] {
+      start.arrive_and_wait();
+      ExplicitEngine engine;
+      AddressSpace space(engine, "r" + std::to_string(r));
+      auto block = space.map(4 * page_size(), AreaKind::kHeap, "b");
+      ASSERT_TRUE(block.is_ok());
+      Rng rng(r + 1);
+      for (std::byte& b : block->mem) b = std::byte(rng.next_u64() & 0xff);
+      CheckpointerOptions opts;
+      opts.rank = r;
+      auto ckpt = Checkpointer::create(space, storage.get(), opts).value();
+      ASSERT_TRUE(ckpt->checkpoint_full(0.0).is_ok());
+      ASSERT_TRUE(engine.arm().is_ok());
+      for (int i = 1; i <= 2; ++i) {
+        std::byte* page = block->mem.data() + rng.next_index(4) * page_size();
+        std::memset(page, 0x10 * i + static_cast<int>(r), page_size());
+        engine.note_write(page, page_size());
+        auto snap = engine.collect(true);
+        ASSERT_TRUE(snap.is_ok());
+        ASSERT_TRUE(ckpt->checkpoint_incremental(*snap, i).is_ok());
+      }
+      truth[r].assign(block->mem.begin(), block->mem.end());
+    });
+  }
+  for (auto& t : threads) t.join();
 
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    auto state = restore_chain(*storage, r);
+    ASSERT_TRUE(state.is_ok()) << "rank " << r;
+    ASSERT_EQ(state->blocks.size(), 1u);
+    const BlockBytes& got = state->blocks.begin()->second.data;
+    ASSERT_EQ(got.size(), truth[r].size());
+    EXPECT_EQ(std::memcmp(got.data(), truth[r].data(), got.size()), 0)
+        << "rank " << r;
+  }
   auto report = inspect_store(*storage);
   ASSERT_TRUE(report.is_ok());
   EXPECT_TRUE(report->healthy());
-  EXPECT_EQ(report->chains.size(), 3u);
-  ASSERT_EQ(report->commit_markers.size(), 2u);
-  EXPECT_EQ(report->commit_markers.back(), 1u);
-}
-
-TEST(InspectStoreTest, CommitBeyondChainIsFlagged) {
-  auto storage = storage::make_memory_backend();
-  ExplicitEngine engine;
-  AddressSpace space(engine, "r");
-  auto block = space.map(page_size(), AreaKind::kHeap, "b");
-  ASSERT_TRUE(block.is_ok());
-  auto ckpt = Checkpointer::create(space, storage.get()).value();
-  ASSERT_TRUE(ckpt->checkpoint_full(0.0).is_ok());
-
-  // Forge a commit marker pointing past the chain.
-  auto w = storage->create("commit/000000000009");
-  ASSERT_TRUE(w.is_ok());
-  std::uint64_t payload[2] = {9, 1};
-  ASSERT_TRUE(
-      (*w)->write({reinterpret_cast<const std::byte*>(payload), 16})
-          .is_ok());
-  ASSERT_TRUE((*w)->close().is_ok());
-
-  auto report = inspect_store(*storage);
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_FALSE(report->healthy());
+  ASSERT_EQ(report->chains.size(), kRanks);
+  for (const auto& [rank, chain] : report->chains) {
+    EXPECT_TRUE(chain.healthy()) << "rank " << rank;
+    EXPECT_EQ(chain.elements.size(), 3u);
+    EXPECT_EQ(chain.recoverable_upto, 2u);
+  }
+  auto rep = repair_store(*storage);
+  ASSERT_TRUE(rep.is_ok());
+  EXPECT_TRUE(rep->clean());
+  EXPECT_TRUE(rep->dropped.empty());
 }
 
 TEST(InspectStoreTest, EmptyStoreIsTriviallyHealthy) {

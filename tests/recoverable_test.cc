@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "storage/backend.h"
+#include "tests/support/faulty_backend.h"
 
 namespace ickpt {
 namespace {
@@ -81,6 +82,53 @@ TEST(RecoverableTest, CrashAndResumeProducesExactResult) {
     EXPECT_EQ(v[0], expected_after(kTotalSteps));
     EXPECT_EQ(v[100], expected_after(kTotalSteps));
   }
+}
+
+TEST(RecoverableTest, FailedReseedKeepsTheResumePoint) {
+  auto backend = storage::make_memory_backend();
+  RecoverableRun::Options opts;
+  opts.checkpoint_every = 3;
+  // 13 steps leave a chain of 4: checkpoints after steps 2, 5, 8, 11.
+  {
+    auto run = RecoverableRun::create(*backend, opts);
+    ASSERT_TRUE(run.is_ok());
+    auto mem = (*run)->add_block(4 * page_size(), "counters");
+    ASSERT_TRUE(mem.is_ok());
+    ASSERT_TRUE((*run)->begin().is_ok());
+    for (int s = 0; s < 13; ++s) {
+      apply_step(*mem, s);
+      ASSERT_TRUE((*run)->did_step(s).is_ok());
+    }
+  }
+  ASSERT_EQ(backend->list()->size(), 4u);
+
+  // A restart whose store fails its first write cannot re-seed the
+  // chain; the chain it restored from must survive.
+  {
+    storage::FaultyBackend faulty(*backend, 0);
+    auto run = RecoverableRun::create(faulty, opts);
+    ASSERT_TRUE(run.is_ok());
+    ASSERT_TRUE((*run)->add_block(4 * page_size(), "counters").is_ok());
+    auto first = (*run)->begin();
+    ASSERT_FALSE(first.is_ok());
+    EXPECT_EQ(first.status().code(), ErrorCode::kIoError);
+  }
+  EXPECT_EQ(backend->list()->size(), 4u);
+
+  // So the next restart still resumes after step 11, and once its
+  // re-seed is stored the old chain is gone.
+  auto run = RecoverableRun::create(*backend, opts);
+  ASSERT_TRUE(run.is_ok());
+  auto mem = (*run)->add_block(4 * page_size(), "counters");
+  ASSERT_TRUE(mem.is_ok());
+  auto first = (*run)->begin();
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(*first, 12);
+  EXPECT_EQ(reinterpret_cast<std::uint64_t*>(mem->data())[0],
+            expected_after(12));
+  auto keys = backend->list();
+  ASSERT_TRUE(keys.is_ok());
+  EXPECT_EQ(keys->size(), 1u);
 }
 
 TEST(RecoverableTest, MultipleBlocksRestoreIndependently) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <random>
 #include <string>
 #include <thread>
@@ -810,7 +811,9 @@ TEST_F(SegmentStreamTest, CompactDemotesTheOpenStream) {
 
 TEST_F(SegmentStreamTest, ConcurrentWritersNeverInterleave) {
   // Writers on several threads contend for the one lease: streams are
-  // demoted by other threads' commits while they write.
+  // demoted by other threads' commits while they write.  Thread 0 opens
+  // a stream first and holds it mid-object until every other thread
+  // has committed an object, so at least one demotion is certain.
   constexpr int kThreads = 4;
   constexpr int kObjects = 12;
   SegmentBackendOptions opt;
@@ -827,22 +830,42 @@ TEST_F(SegmentStreamTest, ConcurrentWritersNeverInterleave) {
   {
     auto b = open(opt);
     ASSERT_TRUE(b.is_ok());
+    std::latch stream_open(1);            // thread 0 is mid-stream
+    std::latch committed(kThreads - 1);   // each other thread committed
+    // Returns early only on a failed assertion; `owed` is then still
+    // set, and the caller pays this thread's latch count.
+    const auto write_objects = [&](int t, bool& owed) {
+      if (t != 0) stream_open.wait();
+      for (int i = 0; i < kObjects; ++i) {
+        auto w = (*b)->create("t" + std::to_string(t) + "/" +
+                              std::to_string(i));
+        ASSERT_TRUE(w.is_ok());
+        std::span<const std::byte> rest(payload_of(t, i));
+        while (!rest.empty()) {
+          const std::size_t n = std::min<std::size_t>(rest.size(), 4096);
+          ASSERT_TRUE((*w)->write(rest.first(n)).is_ok());
+          rest = rest.subspan(n);
+          if (t == 0 && owed && !rest.empty()) {
+            owed = false;
+            stream_open.count_down();
+            committed.wait();  // the first of those commits demoted it
+          }
+          std::this_thread::yield();  // let the others at the lock
+        }
+        ASSERT_TRUE((*w)->close().is_ok());
+        if (t != 0 && owed) {
+          owed = false;
+          committed.count_down();
+        }
+      }
+    };
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        for (int i = 0; i < kObjects; ++i) {
-          auto w = (*b)->create("t" + std::to_string(t) + "/" +
-                                std::to_string(i));
-          ASSERT_TRUE(w.is_ok());
-          std::span<const std::byte> rest(payload_of(t, i));
-          while (!rest.empty()) {
-            const std::size_t n = std::min<std::size_t>(rest.size(), 4096);
-            ASSERT_TRUE((*w)->write(rest.first(n)).is_ok());
-            rest = rest.subspan(n);
-            std::this_thread::yield();  // let the others at the lock
-          }
-          ASSERT_TRUE((*w)->close().is_ok());
-        }
+        bool owed = true;
+        write_objects(t, owed);
+        // A failed assertion must not leave the other threads waiting.
+        if (owed) (t == 0 ? stream_open : committed).count_down();
       });
     }
     for (auto& th : threads) th.join();

@@ -493,14 +493,6 @@ int cmd_fsck(int argc, char** argv) {
       std::printf("  ! %s\n", p.c_str());
     }
   }
-  if (!report->commit_markers.empty()) {
-    std::printf("committed global sequences: up to %llu\n",
-                static_cast<unsigned long long>(
-                    report->commit_markers.back()));
-  }
-  for (const auto& p : report->problems) {
-    std::printf("! %s\n", p.c_str());
-  }
   std::printf("store: %s\n", report->healthy() ? "HEALTHY" : "UNHEALTHY");
   if (!report->healthy()) {
     auto path = obs::flightrec::dump("fsck found the store unhealthy");
