@@ -83,7 +83,7 @@ double time_config(region::AddressSpace& space, int threads, bool compress,
 /// Seconds to publish `count` small objects (one incremental-sized
 /// record each) into `backend` — the many-small-objects cliff: every
 /// FileBackend object costs open + rename + two durable syncs + a
-/// directory entry, while SegmentBackend pays one append + one
+/// directory entry, while the segment store pays one append + one
 /// fdatasync on an already-open fd.
 double time_small_objects(storage::StorageBackend& backend, int count,
                           std::span<const std::byte> payload) {

@@ -87,13 +87,6 @@ struct KernelSpec {
   /// Comm-phase duration multiplier: 1 + growth * log2(nprocs / 8),
   /// clamped at >= 1 (Section 6.4.2's slight per-rank IB decrease).
   double comm_growth_per_log2p = 0.0;
-
-  /// Sum of phase durations (should approximate period_s).
-  double phase_duration_sum() const noexcept {
-    double t = 0;
-    for (const auto& p : phases) t += p.duration;
-    return t;
-  }
 };
 
 }  // namespace ickpt::apps

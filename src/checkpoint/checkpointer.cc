@@ -312,7 +312,6 @@ Result<CheckpointMeta> Checkpointer::write_checkpoint(
     return meta;
   }
   chain_.push_back(*meta);
-  total_pages_ += meta->payload_pages;
   return meta;
 }
 

@@ -69,9 +69,6 @@ class Checkpointer {
 
   const std::vector<CheckpointMeta>& chain() const noexcept { return chain_; }
 
-  /// Total payload pages written so far (volume metric for X2).
-  std::uint64_t total_payload_pages() const noexcept { return total_pages_; }
-
   /// Delete every chain element strictly older than the most recent
   /// full checkpoint (they can never be needed again).
   Status truncate_before_last_full();
@@ -102,7 +99,6 @@ class Checkpointer {
   std::vector<CheckpointMeta> chain_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t since_full_ = 0;
-  std::uint64_t total_pages_ = 0;
 };
 
 }  // namespace ickpt::checkpoint

@@ -93,8 +93,47 @@ struct RankObject {
   std::string key;
   bool placed = false;
   Placement at;
-  Status health;  ///< inspect_object: every byte, every CRC
+  Status health;             ///< inspect_object: every byte, every CRC
+  std::uint64_t parent = 0;  ///< the header's parent, when healthy
+  bool orphan = false;       ///< below the seed, and no chain reaches it
 };
+
+/// The sequence a restore at `upto` seeds from: the newest full
+/// checkpoint at or below it.
+std::uint64_t seed_of(const std::vector<RankObject>& objects,
+                      std::uint64_t upto) {
+  std::uint64_t seed = 0;
+  for (const RankObject& o : objects) {
+    if (o.placed && o.at.full && o.at.sequence <= upto) {
+      seed = std::max(seed, o.at.sequence);
+    }
+  }
+  return seed;
+}
+
+/// Mark the healthy objects below `seed` that no chain reaches: walked
+/// in sequence order, a full checkpoint is kept, and an incremental is
+/// kept only when its parent is the object kept just before it.
+void mark_orphans(std::vector<RankObject>& objects, std::uint64_t seed) {
+  std::vector<RankObject*> below;
+  for (RankObject& o : objects) {
+    if (o.placed && o.health.is_ok() && o.at.sequence < seed) {
+      below.push_back(&o);
+    }
+  }
+  std::stable_sort(below.begin(), below.end(),
+                   [](const RankObject* a, const RankObject* b) {
+                     return a->at.sequence < b->at.sequence;
+                   });
+  const RankObject* kept = nullptr;
+  for (RankObject* o : below) {
+    if (o->at.full || (kept != nullptr && o->parent == kept->at.sequence)) {
+      kept = o;
+    } else {
+      o->orphan = true;
+    }
+  }
+}
 
 /// Newest sequence of `rank` that restores with a whole live range.
 /// The tolerant restore finds damage only in what it reads (headers,
@@ -111,12 +150,7 @@ Result<std::uint64_t> recoverable_upto(storage::StorageBackend& storage,
     auto state = restore_chain(storage, rank, options);
     if (!state.is_ok()) return state.status();
     const std::uint64_t upto = state->sequence;
-    std::uint64_t seed = 0;
-    for (const RankObject& o : objects) {
-      if (o.placed && o.at.full && o.at.sequence <= upto) {
-        seed = std::max(seed, o.at.sequence);
-      }
-    }
+    const std::uint64_t seed = seed_of(objects, upto);
     const RankObject* damaged = nullptr;
     for (const RankObject& o : objects) {
       if (o.placed && !o.health.is_ok() && o.at.sequence >= seed &&
@@ -282,7 +316,11 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
       RankObject o;
       o.key = key;
       o.placed = place(storage, key, &o.at);
-      if (o.placed) o.health = inspect_object(storage, key).status();
+      if (o.placed) {
+        auto element = inspect_object(storage, key);
+        o.health = element.status();
+        if (element.is_ok()) o.parent = element->parent_sequence;
+      }
       objects.push_back(std::move(o));
     }
     auto upto = recoverable_upto(storage, rank, objects);
@@ -294,6 +332,7 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
       continue;
     }
     report.recovered_upto[rank] = *upto;
+    mark_orphans(objects, seed_of(objects, *upto));
 
     for (const RankObject& o : objects) {
       if (!o.placed) {
@@ -307,6 +346,12 @@ Result<RepairReport> repair_store(storage::StorageBackend& storage) {
         // (pre-seed garbage the planner never reads): restoring at
         // `upto` succeeded without it, so quarantining is safe.
         ICKPT_RETURN_IF_ERROR(drop(o.key, o.health.to_string()));
+      } else if (o.orphan) {
+        // Intact, but below the seed and cut off from every full
+        // checkpoint by damage dropped here or earlier.
+        ICKPT_RETURN_IF_ERROR(drop(
+            o.key, "orphan: parent " + std::to_string(o.parent) +
+                       " is not in the kept chain"));
       }
     }
   }

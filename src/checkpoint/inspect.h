@@ -74,9 +74,10 @@ struct RepairReport {
 /// the whole-object check — restore reads only winning chunks, so the
 /// prefix is cut below the first live object with damage anywhere —
 /// then move everything past it — corrupt tails, orphans whose chain
-/// position cannot be determined, and individually corrupt objects the
-/// restore does not need — under "quarantine/<key>" so no bytes are
-/// destroyed.  Idempotent: a second run drops nothing.
+/// position cannot be determined, individually corrupt objects the
+/// restore does not need, and incrementals below the seed that no chain
+/// from a kept full checkpoint reaches — under "quarantine/<key>" so no
+/// bytes are destroyed.  Idempotent: a second run drops nothing.
 Result<RepairReport> repair_store(storage::StorageBackend& storage);
 
 }  // namespace ickpt::checkpoint

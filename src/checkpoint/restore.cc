@@ -672,34 +672,33 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
       break;
     }
   }
-  // Tolerant mode: an unreadable header ends the usable prefix there.
+  // Tolerant mode: an unreadable header above the newest readable full
+  // checkpoint ends the usable prefix there; one below it lies outside
+  // the live range, so it is passed over.  With no readable full
+  // checkpoint the first unreadable header ends the prefix.
+  const auto is_full = [](const Candidate& c) {
+    return c.header_ok &&
+           c.object.header.kind == static_cast<std::uint16_t>(Kind::kFull);
+  };
+  const auto unreadable = [](const Candidate& c) { return !c.header_ok; };
   if (truncate_tail) {
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (!cands[i].header_ok) {
-        cands.resize(i);
-        break;
-      }
-    }
+    const auto seed = std::find_if(cands.rbegin(), cands.rend(), is_full);
+    const auto live = seed == cands.rend() ? cands.begin() : seed.base() - 1;
+    cands.erase(std::find_if(live, cands.end(), unreadable), cands.end());
+    std::erase_if(cands, unreadable);
     if (cands.empty()) {
       return not_found("no checkpoint at or before requested sequence");
     }
   }
 
   // ---- Seed: newest full checkpoint; validate parent links after it.
-  std::ptrdiff_t start = -1;
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(cands.size()) - 1;
-       i >= 0; --i) {
-    if (cands[static_cast<std::size_t>(i)].object.header.kind ==
-        static_cast<std::uint16_t>(Kind::kFull)) {
-      start = i;
-      break;
-    }
-  }
-  if (start < 0) {
+  const auto seed = std::find_if(cands.rbegin(), cands.rend(), is_full);
+  if (seed == cands.rend()) {
     return corruption("chain has no full checkpoint to seed recovery");
   }
+  const auto start = static_cast<std::size_t>(cands.rend() - seed) - 1;
   std::size_t end = cands.size();
-  for (std::size_t i = static_cast<std::size_t>(start) + 1; i < end; ++i) {
+  for (std::size_t i = start + 1; i < end; ++i) {
     const FileHeader& h = cands[i].object.header;
     if (h.parent_sequence != cands[i - 1].sequence) {
       if (!truncate_tail) {
@@ -716,8 +715,8 @@ Result<RestoredState> attempt(storage::StorageBackend& storage,
 
   // ---- The live range (seed..end) must have usable indexes.
   std::vector<ObjectIndex> objs;
-  objs.reserve(end - static_cast<std::size_t>(start));
-  for (std::size_t i = static_cast<std::size_t>(start); i < end; ++i) {
+  objs.reserve(end - start);
+  for (std::size_t i = start; i < end; ++i) {
     if (!cands[i].index_status.is_ok()) {
       return fail(cands[i].sequence, cands[i].index_status);
     }

@@ -50,7 +50,6 @@ class BurstAwareScheduler {
   double ewma_iws() const noexcept { return ewma_; }
   std::uint64_t decisions() const noexcept { return decisions_; }
   std::uint64_t forced() const noexcept { return forced_; }
-  double last_fire_time() const noexcept { return last_fire_; }
 
  private:
   Options options_;

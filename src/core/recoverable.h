@@ -79,7 +79,6 @@ class RecoverableRun {
   const checkpoint::Checkpointer& checkpointer() const noexcept {
     return *checkpointer_;
   }
-  int last_checkpointed_step() const noexcept { return last_step_; }
 
  private:
   RecoverableRun(storage::StorageBackend& backend, Options options,

@@ -72,7 +72,6 @@ RankOutcome run_rank(const StudyConfig& config, double run_vs,
   // feeds an incremental checkpointer so the study measures actual
   // encode/write cost alongside the IWS series.
   std::unique_ptr<storage::StorageBackend> ckpt_backend;
-  std::unique_ptr<storage::MeteredBackend> ckpt_metered;
   std::unique_ptr<checkpoint::Checkpointer> ckpt;
   if (!config.checkpoint_dir.empty() && rank == 0) {
     auto backend = config.segment_store
@@ -83,15 +82,11 @@ RankOutcome run_rank(const StudyConfig& config, double run_vs,
       return out;
     }
     ckpt_backend = std::move(backend.value());
-    // The metered decorator feeds the "ckpt.store.*" registry metrics
-    // (object count, bytes, write-latency histogram).
-    ckpt_metered = std::make_unique<storage::MeteredBackend>(*ckpt_backend,
-                                                             "ckpt.store");
     checkpoint::CheckpointerOptions copts;
     copts.compress = config.compress;
     copts.encode_threads = config.encode_threads;
     auto made = checkpoint::Checkpointer::create((*app)->space(),
-                                                 ckpt_metered.get(), copts);
+                                                 ckpt_backend.get(), copts);
     if (!made.is_ok()) {
       out.status = made.status();
       return out;

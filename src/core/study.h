@@ -38,7 +38,7 @@ struct StudyConfig {
   /// just the dirty-page series it would consume.
   std::string checkpoint_dir;
   /// Store the chain in a log-structured segment store instead of
-  /// one-file-per-object (storage::SegmentBackend vs FileBackend).
+  /// one-file-per-object (make_segment_backend vs make_file_backend).
   bool segment_store = false;
   int encode_threads = 1;       ///< page-encode workers (see Checkpointer)
   bool compress = true;         ///< per-page compression for the chain

@@ -132,8 +132,7 @@ struct Conn {
 
   // Streaming GET in flight.
   std::unique_ptr<storage::Reader> get_reader;
-  bool get_ranged = false;      ///< read_at cursor vs sequential read
-  std::uint64_t get_next = 0;   ///< next offset (ranged mode)
+  std::uint64_t get_next = 0;   ///< next offset to read
   std::uint64_t get_left = 0;   ///< bytes still to send
   std::uint64_t get_sent = 0;
   std::uint64_t get_t0 = 0;
@@ -520,7 +519,6 @@ class Server::Impl {
           return send_err(conn, reader.status());
         }
         conn->get_reader = std::move(reader.value());
-        conn->get_ranged = msg->offset != 0 || msg->length != kWholeObject;
         conn->get_next = msg->offset;
         const std::uint64_t size = conn->get_reader->size();
         const std::uint64_t past =
@@ -529,12 +527,6 @@ class Server::Impl {
             msg->length == kWholeObject ? past : std::min(msg->length, past);
         conn->get_sent = 0;
         conn->get_t0 = obs::now_ns();
-        if (conn->get_ranged && !conn->get_reader->supports_read_at()) {
-          conn->get_reader.reset();
-          obs::trace_emit(NetTrace::get().t_get, obs::TracePhase::kEnd);
-          return send_err(conn,
-                          unsupported("backend cannot serve byte ranges"));
-        }
         return pump_get(conn);
       }
 
@@ -611,9 +603,10 @@ class Server::Impl {
 
   /// Stream DATA frames while the unsent queue is under the in-flight
   /// cap; on cap, pumping resumes from on_writable as bytes drain.
-  /// Each chunk is read straight into its frame, and the frame that
-  /// completes the body carries DATA_END behind it, so both leave in
-  /// one send.  Returns false when the connection was closed.
+  /// Each chunk, of a whole object or a range alike, is read with
+  /// read_at straight into its frame, and the frame that completes the
+  /// body carries DATA_END behind it, so both leave in one send.
+  /// Returns false when the connection was closed.
   bool pump_get(Conn* conn) {
     while (conn->get_active()) {
       if (conn->get_left == 0) return finish_get(conn, Status::ok());
@@ -626,9 +619,7 @@ class Server::Impl {
       const std::span<std::byte> chunk(frame.data() + kFrameHeaderSize,
                                        want);
       Result<std::size_t> got =
-          conn->get_ranged
-              ? conn->get_reader->read_at(conn->get_next, chunk)
-              : conn->get_reader->read(chunk);
+          conn->get_reader->read_at(conn->get_next, chunk);
       if (!got.is_ok()) return finish_get(conn, got.status());
       if (*got == 0) {
         // Object shorter than its own size() promised: damage.

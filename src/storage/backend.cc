@@ -467,79 +467,4 @@ std::unique_ptr<StorageBackend> make_null_backend() {
   return std::make_unique<NullBackend>();
 }
 
-// ---------------------------------------------------------------- metered
-
-class MeteredBackend::MeteredWriter final : public Writer {
- public:
-  MeteredWriter(std::unique_ptr<Writer> inner, obs::Counter& objects,
-                obs::Counter& bytes, obs::Histogram& write_ns,
-                obs::Histogram& object_bytes)
-      : inner_(std::move(inner)),
-        objects_(objects),
-        bytes_(bytes),
-        write_ns_(write_ns),
-        object_bytes_(object_bytes),
-        start_ns_(obs::now_ns()) {}
-
-  Status write(std::span<const std::byte> data) override {
-    return inner_->write(data);
-  }
-
-  Status close() override {
-    ICKPT_RETURN_IF_ERROR(inner_->close());
-    const std::uint64_t n = inner_->bytes_written();
-    objects_.inc();
-    bytes_.inc(n);
-    if (obs::enabled()) {
-      write_ns_.record(obs::now_ns() - start_ns_);
-      object_bytes_.record(n);
-    }
-    return Status::ok();
-  }
-
-  std::uint64_t bytes_written() const noexcept override {
-    return inner_->bytes_written();
-  }
-
- private:
-  std::unique_ptr<Writer> inner_;
-  obs::Counter& objects_;
-  obs::Counter& bytes_;
-  obs::Histogram& write_ns_;
-  obs::Histogram& object_bytes_;
-  std::uint64_t start_ns_;
-};
-
-MeteredBackend::MeteredBackend(StorageBackend& inner,
-                               const std::string& prefix)
-    : inner_(inner),
-      objects_(obs::registry().counter(prefix + ".objects")),
-      bytes_(obs::registry().counter(prefix + ".bytes")),
-      write_ns_(obs::registry().histogram(prefix + ".write_ns")),
-      object_bytes_(obs::registry().histogram(prefix + ".object_bytes",
-                                              obs::Unit::kBytes)) {}
-
-Result<std::unique_ptr<Writer>> MeteredBackend::create(
-    const std::string& key) {
-  auto w = inner_.create(key);
-  if (!w.is_ok()) return w.status();
-  return std::unique_ptr<Writer>(new MeteredWriter(
-      std::move(w.value()), objects_, bytes_, write_ns_, object_bytes_));
-}
-Result<std::unique_ptr<Reader>> MeteredBackend::open(const std::string& key) {
-  return inner_.open(key);
-}
-Status MeteredBackend::remove(const std::string& key) {
-  return inner_.remove(key);
-}
-Result<std::vector<std::string>> MeteredBackend::list() {
-  return inner_.list();
-}
-bool MeteredBackend::exists(const std::string& key) {
-  return inner_.exists(key);
-}
-std::uint64_t MeteredBackend::total_bytes_stored() const noexcept {
-  return inner_.total_bytes_stored();
-}
-
 }  // namespace ickpt::storage

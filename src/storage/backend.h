@@ -4,7 +4,8 @@
 // interconnect (QsNet II, 900 MB/s) and secondary storage (SCSI,
 // 320 MB/s); those ceilings live in analysis/feasibility.h.  The
 // backends here provide real persistence (file), fast in-memory
-// storage, a byte-counting null sink and a metering decorator.
+// storage and a byte-counting null sink; storage/segment_backend.h adds
+// a log-structured store.
 #pragma once
 
 #include <cstddef>
@@ -15,11 +16,6 @@
 #include <vector>
 
 #include "common/status.h"
-
-namespace ickpt::obs {
-class Counter;
-class Histogram;
-}  // namespace ickpt::obs
 
 namespace ickpt::storage {
 
@@ -116,33 +112,5 @@ std::unique_ptr<StorageBackend> make_memory_backend();
 
 /// Discards all data, keeps byte counts (bandwidth quantification).
 std::unique_ptr<StorageBackend> make_null_backend();
-
-/// Decorator: publishes per-object write metrics to the process-wide
-/// obs registry under `prefix` — "<prefix>.objects" / "<prefix>.bytes"
-/// counters, a "<prefix>.write_ns" latency histogram (create() to
-/// close(), as seen by the writing thread) and a "<prefix>.object_bytes"
-/// size histogram.  Pure pass-through otherwise; the decorated backend
-/// must outlive the decorator.
-class MeteredBackend : public StorageBackend {
- public:
-  explicit MeteredBackend(StorageBackend& inner,
-                          const std::string& prefix = "storage");
-
-  Result<std::unique_ptr<Writer>> create(const std::string& key) override;
-  Result<std::unique_ptr<Reader>> open(const std::string& key) override;
-  Status remove(const std::string& key) override;
-  Result<std::vector<std::string>> list() override;
-  bool exists(const std::string& key) override;
-  std::uint64_t total_bytes_stored() const noexcept override;
-
- private:
-  class MeteredWriter;
-  StorageBackend& inner_;
-  // Registry-owned metric objects; immortal, so writers may hold them.
-  obs::Counter& objects_;
-  obs::Counter& bytes_;
-  obs::Histogram& write_ns_;
-  obs::Histogram& object_bytes_;
-};
 
 }  // namespace ickpt::storage

@@ -128,7 +128,6 @@ struct SegmentMetrics {
   obs::Histogram& publish_sync_ns;
   obs::Counter& appends;
   obs::Counter& seals;
-  obs::Counter& compactions;
   obs::Counter& torn_records;
   obs::Counter& demotions;
   std::uint16_t publish_span;
@@ -140,7 +139,6 @@ struct SegmentMetrics {
         r.histogram("storage.publish_sync_ns"),
         r.counter("storage.segment_appends"),
         r.counter("storage.segment_seals"),
-        r.counter("storage.segment_compactions"),
         r.counter("storage.segment_torn_records"),
         r.counter("storage.segment_demotions"),
         obs::trace_name("ckpt.publish_sync", obs::TraceCat::kStorage)};
@@ -151,15 +149,11 @@ struct SegmentMetrics {
 // ------------------------------------------------------------ in-memory
 
 /// One segment file.  Immutable once it stops being the active
-/// segment; readers share it via shared_ptr so compaction can unlink
-/// the path while reads are in flight (the fd keeps the inode alive).
+/// segment; the index entries and readers that point into it share it,
+/// and its fd closes when the last of them goes.
 struct SegmentFile {
-  std::uint64_t id = 0;
   fs::path path;
-  int fd = -1;                    ///< O_RDWR (active) or O_RDONLY
-  std::uint64_t record_bytes = 0; ///< bytes of record data (no footer)
-  std::uint64_t live_bytes = 0;   ///< payload bytes the index points at
-  bool sealed = false;
+  int fd = -1;  ///< O_RDWR (active) or O_RDONLY
 
   ~SegmentFile() {
     if (fd >= 0) ::close(fd);
@@ -248,7 +242,7 @@ constexpr RecordHeader kPlaceholder = [] {
   return h;
 }();
 
-class SegmentBackendImpl final : public SegmentBackend {
+class SegmentBackendImpl final : public StorageBackend {
  public:
   /// A record payload given as consecutive pieces.
   using Parts = std::span<const std::span<const std::byte>>;
@@ -278,7 +272,7 @@ class SegmentBackendImpl final : public SegmentBackend {
     auto it = index_.find(key);
     if (it == index_.end()) return not_found("no such object: " + key);
     ICKPT_RETURN_IF_ERROR(append_locked(kTombstone, key, {}, 0));
-    drop_entry_locked(it);
+    index_.erase(it);
     return Status::ok();
   }
 
@@ -299,48 +293,14 @@ class SegmentBackendImpl final : public SegmentBackend {
     return total_.load(std::memory_order_relaxed);
   }
 
-  Status sync() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sync_active_locked();
-  }
-
-  Status compact() override;
-
-  SegmentStoreStats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    SegmentStoreStats s;
-    s.segments = segments_.size() + (active_ != nullptr ? 1 : 0);
-    s.live_objects = index_.size();
-    s.torn_records = torn_records_;
-    for (const auto& [k, e] : index_) s.live_bytes += e.payload_len;
-    auto add_disk = [&s](const SegPtr& seg) {
-      std::error_code ec;
-      const auto sz = fs::file_size(seg->path, ec);
-      if (!ec) s.disk_bytes += sz;
-    };
-    for (const auto& [id, seg] : segments_) add_disk(seg);
-    if (active_ != nullptr) add_disk(active_);
-    return s;
-  }
-
  private:
   class SegmentWriter;
-
-  /// Remove `it` from the index and return the accounting to its
-  /// segment.  Caller holds mu_.
-  void drop_entry_locked(std::map<std::string, IndexEntry>::iterator it) {
-    it->second.seg->live_bytes -= it->second.payload_len;
-    index_.erase(it);
-  }
 
   /// Point the index at the object record that ends at active_end_.
   /// Caller holds mu_.
   void index_object_locked(const std::string& key, std::uint64_t len,
                            std::uint32_t crc) {
-    auto it = index_.find(key);
-    if (it != index_.end()) drop_entry_locked(it);
     index_[key] = IndexEntry{active_, active_end_ - len, len, crc};
-    active_->live_bytes += len;
   }
 
   /// Buffered writers and demoted streams hold their objects in parts
@@ -425,7 +385,6 @@ class SegmentBackendImpl final : public SegmentBackend {
   Status landed_locked(std::uint8_t type, const std::string& key,
                        std::uint64_t payload_len, std::uint32_t payload_crc) {
     active_end_ += sizeof(RecordHeader) + key.size() + payload_len;
-    active_->record_bytes = active_end_;
     active_records_.push_back(Rec{type, key, active_end_ - payload_len,
                                   payload_len, payload_crc});
     unsynced_ = true;
@@ -460,8 +419,7 @@ class SegmentBackendImpl final : public SegmentBackend {
 
   Status start_segment_locked() {
     auto seg = std::make_shared<SegmentFile>();
-    seg->id = next_id_++;
-    seg->path = dir_ / segment_name(seg->id);
+    seg->path = dir_ / segment_name(next_id_++);
     seg->fd = ::open(seg->path.c_str(),
                      O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (seg->fd < 0) {
@@ -485,8 +443,9 @@ class SegmentBackendImpl final : public SegmentBackend {
     return Status::ok();
   }
 
-  /// Write the footer for the active segment and retire it to the
-  /// read-only set.  Caller holds mu_.
+  /// Write the footer for the active segment and retire it: from here
+  /// on only the index entries and readers that point into it hold it.
+  /// Caller holds mu_.
   Status seal_active_locked() {
     if (active_ == nullptr) return Status::ok();
     ICKPT_RETURN_IF_ERROR(demote_stream_locked());
@@ -515,41 +474,36 @@ class SegmentBackendImpl final : public SegmentBackend {
         ioutil::pwrite_full(active_->fd, footer, active_end_));
     unsynced_ = true;
     ICKPT_RETURN_IF_ERROR(sync_active_locked());
-    active_->sealed = true;
     SegmentMetrics::get().seals.inc();
-    segments_[active_->id] = std::move(active_);
     active_ = nullptr;
     active_records_.clear();
     active_end_ = 0;
     return Status::ok();
   }
 
-  /// Records of an on-disk segment, via footer when sealed, else by a
-  /// validating scan.  `validate_payloads` re-CRCs every payload (used
-  /// on open for unsealed segments, where the tail may be torn).
-  Result<std::vector<Rec>> load_records(const SegPtr& seg,
-                                        std::uint64_t file_size,
-                                        bool* sealed_out);
+  /// Records of an on-disk segment, via its footer when sealed, else
+  /// by a scan that re-CRCs every record and stops at the first one
+  /// that is torn or invalid.
+  static Result<std::vector<Rec>> load_records(const SegmentFile& seg,
+                                               std::uint64_t file_size);
 
-  Status replay_segment_locked(const SegPtr& seg,
-                               const std::vector<Rec>& recs) {
+  /// Apply `recs` to the index in record order: later records
+  /// supersede earlier ones.  Caller holds mu_.
+  void replay_segment_locked(const SegPtr& seg, const std::vector<Rec>& recs) {
     for (const Rec& r : recs) {
-      auto it = index_.find(r.key);
-      if (it != index_.end()) drop_entry_locked(it);
       if (r.type == kObject) {
         index_[r.key] = IndexEntry{seg, r.payload_off, r.payload_len,
                                    r.payload_crc};
-        seg->live_bytes += r.payload_len;
+      } else {
+        index_.erase(r.key);
       }
     }
-    return Status::ok();
   }
 
   fs::path dir_;
   SegmentBackendOptions options_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<std::string, IndexEntry> index_;
-  std::map<std::uint64_t, SegPtr> segments_;  ///< sealed / read-only
   SegPtr active_;
   /// End of the last committed record of the active segment: every
   /// append, and the stream's record, starts here (under mu_).
@@ -561,7 +515,6 @@ class SegmentBackendImpl final : public SegmentBackend {
   std::vector<std::byte> buf_;  ///< footer scratch (under mu_)
   std::vector<std::span<const std::byte>> pieces_;  ///< append scratch
   std::uint64_t next_id_ = 0;
-  std::uint64_t torn_records_ = 0;
   bool unsynced_ = false;
   std::atomic<std::uint64_t> total_{0};
 };
@@ -575,9 +528,9 @@ class SegmentBackendImpl final : public SegmentBackend {
 ///
 /// Every other writer buffers its object in parts and commits it as
 /// one record on close().  So does a stream that another append
-/// demoted — a buffered commit, a tombstone, compaction or a seal: the
-/// demotion reads its bytes back into parts.  Records thus never
-/// interleave, and no append waits for a stream to finish.
+/// demoted — a buffered commit, a tombstone or a seal: the demotion
+/// reads its bytes back into parts.  Records thus never interleave,
+/// and no append waits for a stream to finish.
 class SegmentBackendImpl::SegmentWriter final : public Writer {
  public:
   SegmentWriter(SegmentBackendImpl& backend, std::string key)
@@ -745,23 +698,22 @@ Status SegmentBackendImpl::demote_stream_locked() {
 }
 
 Result<std::vector<Rec>> SegmentBackendImpl::load_records(
-    const SegPtr& seg, std::uint64_t file_size, bool* sealed_out) {
+    const SegmentFile& seg, std::uint64_t file_size) {
   std::vector<Rec> recs;
-  *sealed_out = false;
 
   // Sealed fast path: trailer at EOF locates the entries block.
   if (file_size >= sizeof(FooterTrailer)) {
     FooterTrailer t;
-    auto st = pread_exact(seg->fd, &t, sizeof t,
-                          file_size - sizeof t, seg->path);
+    auto st = pread_exact(seg.fd, &t, sizeof t, file_size - sizeof t,
+                          seg.path);
     if (st.is_ok() && t.magic == FooterTrailer{}.magic &&
         t.end_magic == FooterTrailer{}.end_magic &&
         t.entries_bytes <= file_size - sizeof t) {
       std::vector<std::byte> entries(t.entries_bytes);
       const std::uint64_t entries_off =
           file_size - sizeof t - t.entries_bytes;
-      st = pread_exact(seg->fd, entries.data(), entries.size(), entries_off,
-                       seg->path);
+      st = pread_exact(seg.fd, entries.data(), entries.size(), entries_off,
+                       seg.path);
       if (st.is_ok() && crc32(entries) == t.entries_crc) {
         std::size_t off = 0;
         bool ok = true;
@@ -773,8 +725,10 @@ Result<std::vector<Rec>> SegmentBackendImpl::load_records(
           FooterEntry e;
           std::memcpy(&e, entries.data() + off, sizeof e);
           off += sizeof e;
+          // No sum of on-disk lengths: a crafted one could wrap.
           if (e.key_len > kMaxKeyLen || off + e.key_len > entries.size() ||
-              e.payload_off + e.payload_len > entries_off) {
+              e.payload_off > entries_off ||
+              e.payload_len > entries_off - e.payload_off) {
             ok = false;
             break;
           }
@@ -788,11 +742,7 @@ Result<std::vector<Rec>> SegmentBackendImpl::load_records(
           r.payload_crc = e.payload_crc;
           recs.push_back(std::move(r));
         }
-        if (ok && off == entries.size()) {
-          seg->record_bytes = entries_off;
-          *sealed_out = true;
-          return recs;
-        }
+        if (ok && off == entries.size()) return recs;
         recs.clear();  // corrupt footer: fall through to the scan
       }
     }
@@ -805,36 +755,33 @@ Result<std::vector<Rec>> SegmentBackendImpl::load_records(
   std::vector<std::byte> payload;
   while (off + sizeof(RecordHeader) <= file_size) {
     RecordHeader h;
-    ICKPT_RETURN_IF_ERROR(pread_exact(seg->fd, &h, sizeof h, off, seg->path));
+    ICKPT_RETURN_IF_ERROR(pread_exact(seg.fd, &h, sizeof h, off, seg.path));
     if (h.magic != RecordHeader{}.magic ||
         (h.type != kObject && h.type != kTombstone) ||
         h.key_len == 0 || h.key_len > kMaxKeyLen) {
       break;
     }
+    // Bound each length by the bytes left, never their sum: a crafted
+    // payload_len near 2^64 would wrap the sum past the check.
+    const std::uint64_t left = file_size - off - sizeof h;
+    if (h.key_len > left || h.payload_len > left - h.key_len) break;
     const std::uint64_t total = sizeof h + h.key_len + h.payload_len;
-    if (off + total > file_size) break;
     std::string key(h.key_len, '\0');
     ICKPT_RETURN_IF_ERROR(
-        pread_exact(seg->fd, key.data(), key.size(), off + sizeof h,
-                    seg->path));
+        pread_exact(seg.fd, key.data(), key.size(), off + sizeof h, seg.path));
     if (header_crc(h, key) != h.header_crc) break;
     const std::uint64_t payload_off = off + sizeof h + h.key_len;
     if (h.payload_len > 0) {
       payload.resize(h.payload_len);
-      ICKPT_RETURN_IF_ERROR(pread_exact(seg->fd, payload.data(),
-                                        payload.size(), payload_off,
-                                        seg->path));
+      ICKPT_RETURN_IF_ERROR(pread_exact(seg.fd, payload.data(),
+                                        payload.size(), payload_off, seg.path));
       if (crc32(payload) != h.payload_crc) break;
     }
     recs.push_back(Rec{h.type, std::move(key), payload_off, h.payload_len,
                        h.payload_crc});
     off += total;
   }
-  if (off < file_size) {
-    ++torn_records_;
-    SegmentMetrics::get().torn_records.inc();
-  }
-  seg->record_bytes = off;
+  if (off < file_size) SegmentMetrics::get().torn_records.inc();
   return recs;
 }
 
@@ -858,7 +805,6 @@ Status SegmentBackendImpl::init() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, path] : found) {
     auto seg = std::make_shared<SegmentFile>();
-    seg->id = id;
     seg->path = path;
     seg->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (seg->fd < 0) {
@@ -869,95 +815,15 @@ Status SegmentBackendImpl::init() {
     if (::fstat(seg->fd, &st) != 0) {
       return io_error("fstat failed: " + path.string());
     }
-    bool sealed = false;
     ICKPT_ASSIGN_OR_RETURN(
-        recs, load_records(seg, static_cast<std::uint64_t>(st.st_size),
-                           &sealed));
-    seg->sealed = sealed;
-    ICKPT_RETURN_IF_ERROR(replay_segment_locked(seg, recs));
+        recs, load_records(*seg, static_cast<std::uint64_t>(st.st_size)));
+    replay_segment_locked(seg, recs);
     next_id_ = std::max(next_id_, id + 1);
-    segments_[id] = std::move(seg);
-  }
-  return Status::ok();
-}
-
-Status SegmentBackendImpl::compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  SegmentMetrics::get().compactions.inc();
-
-  // Candidates: read-only segments whose live fraction is below the
-  // threshold.  Collected first — the rewrite loop mutates segments_.
-  std::vector<SegPtr> victims;
-  for (const auto& [id, seg] : segments_) {
-    const double denom =
-        static_cast<double>(std::max<std::uint64_t>(seg->record_bytes, 1));
-    if (static_cast<double>(seg->live_bytes) / denom <
-        options_.compact_live_fraction) {
-      victims.push_back(seg);
-    }
-  }
-
-  std::vector<std::byte> payload;
-  for (const SegPtr& victim : victims) {
-    const bool lowest_survivor =
-        segments_.begin()->second->id == victim->id;
-    bool dummy_sealed = false;
-    std::error_code size_ec;
-    const auto fsize = fs::file_size(victim->path, size_ec);
-    if (size_ec) {
-      return io_error("file_size failed: " + victim->path.string());
-    }
-    ICKPT_ASSIGN_OR_RETURN(recs,
-                           load_records(victim, fsize, &dummy_sealed));
-    for (const Rec& r : recs) {
-      if (r.type == kObject) {
-        auto it = index_.find(r.key);
-        // Copy forward only the record the index still points at.
-        if (it == index_.end() || it->second.seg != victim ||
-            it->second.payload_off != r.payload_off) {
-          continue;
-        }
-        payload.resize(r.payload_len);
-        ICKPT_RETURN_IF_ERROR(pread_exact(victim->fd, payload.data(),
-                                          payload.size(), r.payload_off,
-                                          victim->path));
-        const std::span<const std::byte> whole[] = {payload};
-        ICKPT_RETURN_IF_ERROR(
-            append_locked(kObject, r.key, whole, r.payload_crc));
-        index_object_locked(r.key, r.payload_len, r.payload_crc);
-      } else if (!lowest_survivor && index_.count(r.key) == 0) {
-        // A tombstone still shadowing an object in some older
-        // surviving segment must move forward with us, or a rebuild
-        // after the unlink would resurrect the key.  When this victim
-        // is the oldest survivor there is nothing left to shadow.
-        ICKPT_RETURN_IF_ERROR(append_locked(kTombstone, r.key, {}, 0));
-      }
-    }
-    // Everything live has a newer copy on disk (synced when durable);
-    // the husk can go.  Readers holding the SegPtr keep the inode.
-    ICKPT_RETURN_IF_ERROR(sync_active_locked());
-    segments_.erase(victim->id);
-    std::error_code ec;
-    fs::remove(victim->path, ec);
-    if (ec) {
-      return io_error("cannot unlink segment: " + victim->path.string() +
-                      ": " + ec.message());
-    }
   }
   return Status::ok();
 }
 
 }  // namespace
-
-Result<std::unique_ptr<SegmentBackend>> SegmentBackend::open_store(
-    const std::string& directory, const SegmentBackendOptions& options) {
-  if (options.segment_bytes == 0) {
-    return invalid_argument("segment_bytes must be > 0");
-  }
-  auto backend = std::make_unique<SegmentBackendImpl>(directory, options);
-  ICKPT_RETURN_IF_ERROR(backend->init());
-  return std::unique_ptr<SegmentBackend>(std::move(backend));
-}
 
 Result<std::unique_ptr<StorageBackend>> make_segment_backend(
     const std::string& directory) {
@@ -966,8 +832,11 @@ Result<std::unique_ptr<StorageBackend>> make_segment_backend(
 
 Result<std::unique_ptr<StorageBackend>> make_segment_backend(
     const std::string& directory, const SegmentBackendOptions& options) {
-  ICKPT_ASSIGN_OR_RETURN(backend,
-                         SegmentBackend::open_store(directory, options));
+  if (options.segment_bytes == 0) {
+    return invalid_argument("segment_bytes must be > 0");
+  }
+  auto backend = std::make_unique<SegmentBackendImpl>(directory, options);
+  ICKPT_RETURN_IF_ERROR(backend->init());
   return std::unique_ptr<StorageBackend>(std::move(backend));
 }
 

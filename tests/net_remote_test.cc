@@ -290,7 +290,7 @@ TEST_F(NetRemoteTest, DirectoryKeysAreNotFoundAndDaemonKeepsServing) {
 }
 
 // Acceptance: the same chain pushed through a live daemon serving a
-// SegmentBackend restores byte-identically to a local FileBackend
+// segment store restores byte-identically to a local FileBackend
 // chain — the network store works unchanged over the log-structured
 // layout (ickptd --backend=segment).
 TEST(NetSegmentStoreTest, ChainThroughSegmentServedDaemonMatchesFile) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <vector>
 
 #include "storage/backend.h"
 #include "tests/support/faulty_backend.h"
@@ -129,6 +132,87 @@ TEST(RecoverableTest, FailedReseedKeepsTheResumePoint) {
   auto keys = backend->list();
   ASSERT_TRUE(keys.is_ok());
   EXPECT_EQ(keys->size(), 1u);
+}
+
+// A restart stores its re-seed, then dies before the old chain is
+// removed, and the oldest object's header is destroyed.  The next
+// restart passes over the damage below the re-seed and resumes where
+// the run left off, with exact counters.
+TEST(RecoverableTest, DamagedOldChainBelowTheReseedIsPassedOver) {
+  auto backend = storage::make_memory_backend();
+  RecoverableRun::Options opts;
+  opts.checkpoint_every = 3;
+  // 9 steps leave a chain of 3: checkpoints after steps 2, 5 and 8.
+  {
+    auto run = RecoverableRun::create(*backend, opts);
+    ASSERT_TRUE(run.is_ok());
+    auto mem = (*run)->add_block(4 * page_size(), "counters");
+    ASSERT_TRUE(mem.is_ok());
+    ASSERT_TRUE((*run)->begin().is_ok());
+    for (int s = 0; s < 9; ++s) {
+      apply_step(*mem, s);
+      ASSERT_TRUE((*run)->did_step(s).is_ok());
+    }
+  }
+  std::map<std::string, std::vector<std::byte>> old_chain;
+  {
+    auto keys = backend->list();
+    ASSERT_TRUE(keys.is_ok());
+    for (const auto& key : *keys) {
+      auto reader = backend->open(key);
+      ASSERT_TRUE(reader.is_ok());
+      std::vector<std::byte> bytes((*reader)->size());
+      auto got = (*reader)->read_at(0, bytes);
+      ASSERT_TRUE(got.is_ok());
+      ASSERT_EQ(*got, bytes.size());
+      old_chain[key] = std::move(bytes);
+    }
+  }
+  ASSERT_EQ(old_chain.size(), 3u);
+
+  // A restart re-seeds at sequence 3, removes the old chain, checkpoints
+  // after step 11 (sequence 4) and dies.
+  {
+    auto run = RecoverableRun::create(*backend, opts);
+    ASSERT_TRUE(run.is_ok());
+    auto mem = (*run)->add_block(4 * page_size(), "counters");
+    ASSERT_TRUE(mem.is_ok());
+    auto first = (*run)->begin();
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    ASSERT_EQ(*first, 9);
+    for (int s = 9; s < 12; ++s) {
+      apply_step(*mem, s);
+      ASSERT_TRUE((*run)->did_step(s).is_ok());
+    }
+  }
+  ASSERT_EQ(backend->list()->size(), 2u);
+
+  // The old chain back, as a crash before its removal leaves it, with
+  // 64 bytes of 0xEE over the oldest object's header.
+  for (auto& [key, bytes] : old_chain) {
+    if (key == old_chain.begin()->first) {
+      std::fill_n(bytes.begin(), std::min<std::size_t>(64, bytes.size()),
+                  std::byte{0xEE});
+    }
+    auto w = backend->create(key);
+    ASSERT_TRUE(w.is_ok());
+    ASSERT_TRUE((*w)->write(bytes).is_ok());
+    ASSERT_TRUE((*w)->close().is_ok());
+  }
+  ASSERT_EQ(backend->list()->size(), 5u);
+
+  auto run = RecoverableRun::create(*backend, opts);
+  ASSERT_TRUE(run.is_ok());
+  auto mem = (*run)->add_block(4 * page_size(), "counters");
+  ASSERT_TRUE(mem.is_ok());
+  auto first = (*run)->begin();
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(*first, 12);
+  auto* v = reinterpret_cast<std::uint64_t*>(mem->data());
+  EXPECT_EQ(v[0], expected_after(12));
+  EXPECT_EQ(v[100], expected_after(12));
+  // Once the new re-seed is stored, every older key is gone.
+  EXPECT_EQ(backend->list()->size(), 1u);
 }
 
 TEST(RecoverableTest, MultipleBlocksRestoreIndependently) {

@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <set>
 
@@ -188,6 +190,56 @@ class RestoreChainTest : public ::testing::Test {
       incremental(static_cast<double>(i));
     }
     return a;
+  }
+
+  /// Chain 0 (full), 1, 2, 3 (full), 4 over block "a" (8 pages): the
+  /// shape a crash leaves between a re-seed, or a periodic full
+  /// checkpoint, and the removal of the chain below it.
+  void build_reseeded_chain() {
+    auto a = add_block(8, "a", 1);
+    ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+    ASSERT_TRUE(engine_.arm().is_ok());
+    for (int i = 1; i <= 4; ++i) {
+      touch(a, static_cast<std::size_t>(i), 100 + i);
+      touch(a, static_cast<std::size_t>(i * 3 + 1) % 8, 200 + i);
+      if (i == 3) {
+        ASSERT_TRUE(ckpt_->checkpoint_full(3.0).is_ok());
+      } else {
+        incremental(static_cast<double>(i));
+      }
+    }
+  }
+
+  /// Damage below the newest full checkpoint of build_reseeded_chain:
+  /// object 0's header, object 0's payload, or object 1 as a whole.
+  enum class OldDamage { kHeader, kPayload, kMissing };
+
+  void damage(OldDamage d) {
+    switch (d) {
+      case OldDamage::kHeader:
+        return corrupt_header(checkpoint_key(0, 0));
+      case OldDamage::kPayload:
+        return corrupt_payload(checkpoint_key(0, 0));
+      case OldDamage::kMissing:
+        ASSERT_TRUE(storage_->remove(checkpoint_key(0, 1)).is_ok());
+    }
+  }
+
+  /// Put the store back to `objects` (key -> bytes), and nothing else.
+  void reset_store(const std::map<std::string, std::vector<std::byte>>&
+                       objects) {
+    auto keys = storage_->list();
+    ASSERT_TRUE(keys.is_ok());
+    for (const auto& key : *keys) ASSERT_TRUE(storage_->remove(key).is_ok());
+    for (const auto& [key, data] : objects) write_object(key, data);
+  }
+
+  std::map<std::string, std::vector<std::byte>> snapshot_store() {
+    std::map<std::string, std::vector<std::byte>> objects;
+    auto keys = storage_->list();
+    EXPECT_TRUE(keys.is_ok());
+    for (const auto& key : *keys) objects[key] = read_object(key);
+    return objects;
   }
 
   /// 32-page block "a": a full checkpoint at 0 (chunks [0,16) and
@@ -435,6 +487,29 @@ TEST_F(RestoreChainTest, ObliteratedTailObjectStillRecovers) {
   auto state = restore_chain(*storage_, 0, opts);
   ASSERT_TRUE(state.is_ok()) << state.status().to_string();
   EXPECT_EQ(state->sequence, 2u);
+}
+
+// Damage below the newest full checkpoint is outside the live range: a
+// tolerant restore seeds from sequence 3 whatever happened to 0..2, and
+// restores what the oracle restores from 3 and 4 alone.
+TEST_F(RestoreChainTest, TolerantRestoreSeedsAboveDamageBelowTheNewestFull) {
+  build_reseeded_chain();
+  const auto pristine = snapshot_store();
+  for (const auto d :
+       {OldDamage::kHeader, OldDamage::kPayload, OldDamage::kMissing}) {
+    SCOPED_TRACE(static_cast<int>(d));
+    reset_store(pristine);
+    damage(d);
+    auto state = same_verdict_at_1_and_4_threads(/*tolerant=*/true);
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    EXPECT_EQ(state->sequence, 4u);
+    for (std::uint64_t s = 0; s <= 2; ++s) {
+      (void)storage_->remove(checkpoint_key(0, s));
+    }
+    auto reference = restore_chain_serial(*storage_, 0);
+    ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+    expect_states_identical(*reference, *state);
+  }
 }
 
 // --- The probe on the pool: the same verdicts at every thread count --
@@ -916,6 +991,50 @@ TEST_F(RestoreChainTest, RepairQuarantinesUnplaceableOrphan) {
   EXPECT_EQ(rep->dropped[0].key, "rank0/not-a-checkpoint");
   EXPECT_FALSE(storage_->exists("rank0/not-a-checkpoint"));
   EXPECT_EQ(rep->recovered_upto[0], 2u);
+}
+
+// Damage below the newest full checkpoint: one repair pass quarantines
+// the damaged object and every incremental it cuts off from a full
+// checkpoint, which leaves fsck healthy; a second pass drops nothing.
+TEST_F(RestoreChainTest, RepairConvergesWhenDamageLiesBelowTheNewestFull) {
+  build_reseeded_chain();
+  const auto pristine = snapshot_store();
+  const struct {
+    OldDamage damage;
+    std::vector<std::uint64_t> dropped;
+  } cases[] = {{OldDamage::kHeader, {0, 1, 2}},
+               {OldDamage::kPayload, {0, 1, 2}},
+               {OldDamage::kMissing, {2}}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.damage));
+    reset_store(pristine);
+    damage(c.damage);
+    auto rep = repair_store(*storage_);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_TRUE(rep->clean());
+    EXPECT_EQ(rep->recovered_upto[0], 4u);
+    std::vector<std::uint64_t> dropped;
+    for (const auto& d : rep->dropped) {
+      std::uint64_t seq = 0;
+      ASSERT_TRUE(parse_checkpoint_key(d.key, &seq)) << d.key;
+      dropped.push_back(seq);
+    }
+    std::sort(dropped.begin(), dropped.end());
+    EXPECT_EQ(dropped, c.dropped);
+
+    auto report = inspect_store(*storage_);
+    ASSERT_TRUE(report.is_ok());
+    ASSERT_EQ(report->chains.count(0u), 1u);
+    EXPECT_TRUE(report->healthy())
+        << (report->chains[0].problems.empty()
+                ? std::string()
+                : report->chains[0].problems.front());
+    EXPECT_EQ(report->chains[0].recoverable_upto, 4u);
+
+    auto again = repair_store(*storage_);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_TRUE(again->dropped.empty());
+  }
 }
 
 TEST_F(RestoreChainTest, RepairLeavesHealthyStoreAlone) {

@@ -4,6 +4,7 @@
 
 #include "storage/segment_backend.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -39,11 +40,14 @@ class BackendParamTest
       backend_ = make_memory_backend();
       return;
     }
+    // The test's name is "Case/param"; a '/' in the directory name
+    // would nest the store one level below the directory TearDown
+    // removes.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = ::testing::TempDir() + "/ickpt_storage_test_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()
-               ->current_test_info()
-               ->name();
+           std::to_string(::getpid()) + "_" + name;
     auto backend = GetParam() == "segment" ? make_segment_backend(dir_)
                                            : make_file_backend(dir_);
     ASSERT_TRUE(backend.is_ok());
@@ -51,7 +55,12 @@ class BackendParamTest
   }
   void TearDown() override {
     backend_.reset();
-    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+    if (dir_.empty()) return;
+    // Removing the store's directory leaves nothing behind only when
+    // it sits straight in the temp dir.
+    EXPECT_TRUE(std::filesystem::equivalent(
+        std::filesystem::path(dir_).parent_path(), ::testing::TempDir()));
+    std::filesystem::remove_all(dir_);
   }
 
   std::string dir_;

@@ -528,7 +528,7 @@ void add_store_flags(FlagSet& flags, StoreTarget* target) {
   flags.add_bool("help", &target->help, "show this help");
 }
 
-Result<std::unique_ptr<storage::StorageBackend>> open_store(
+Result<std::unique_ptr<storage::StorageBackend>> open_target(
     const StoreTarget& target) {
   if (target.dir.empty() == target.addr.empty()) {
     return invalid_argument(
@@ -566,7 +566,7 @@ int cmd_store_put(int argc, char** argv) {
   const std::string& file = flags.positional()[1];
   if (!target.span_trace_path.empty()) obs::start_tracing();
 
-  auto store = open_store(target);
+  auto store = open_target(target);
   if (!store.is_ok()) return store_error("put", store.status());
   std::FILE* in = std::fopen(file.c_str(), "rb");
   if (in == nullptr) {
@@ -618,7 +618,7 @@ int cmd_store_get(int argc, char** argv) {
   const bool to_stdout = flags.positional().size() < 2;
   if (!target.span_trace_path.empty()) obs::start_tracing();
 
-  auto store = open_store(target);
+  auto store = open_target(target);
   if (!store.is_ok()) return store_error("get", store.status());
   std::FILE* out =
       to_stdout ? stdout : std::fopen(flags.positional()[1].c_str(), "wb");
@@ -666,7 +666,7 @@ int cmd_store_ls(int argc, char** argv) {
   }
   if (!target.span_trace_path.empty()) obs::start_tracing();
 
-  auto store = open_store(target);
+  auto store = open_target(target);
   if (!store.is_ok()) return store_error("ls", store.status());
   auto keys = [&] {
     obs::TraceSpan span(obs::trace_name("cli.ls", obs::TraceCat::kNet));
@@ -694,7 +694,7 @@ int cmd_store_del(int argc, char** argv) {
   const std::string& key = flags.positional()[0];
   if (!target.span_trace_path.empty()) obs::start_tracing();
 
-  auto store = open_store(target);
+  auto store = open_target(target);
   if (!store.is_ok()) return store_error("del", store.status());
   auto st = [&] {
     obs::TraceSpan span(obs::trace_name("cli.del", obs::TraceCat::kNet));
