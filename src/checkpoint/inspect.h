@@ -1,10 +1,11 @@
 // Chain inspection and verification (fsck for checkpoint stores).
 //
 // Walks a storage backend, parses every checkpoint object, validates
-// structure and CRC, checks chain invariants (a full root, contiguous
-// sequences, consistent parent links) and reports per-chain
+// structure and CRC, checks chain invariants (a full root, one object
+// per sequence, consistent parent links) and reports per-chain
 // statistics.  This is what an operator runs before trusting a store
-// for recovery.
+// for recovery.  fsck and repair judge a rank's objects with the same
+// walk, so repair removes exactly what fsck reports.
 #pragma once
 
 #include <cstdint>
@@ -69,15 +70,16 @@ struct RepairReport {
   bool clean() const noexcept { return problems.empty(); }
 };
 
-/// Repair a damaged store in place: for each rank, find the newest
-/// restorable prefix (truncated-tail restore) whose live range passes
-/// the whole-object check — restore reads only winning chunks, so the
-/// prefix is cut below the first live object with damage anywhere —
-/// then move everything past it — corrupt tails, orphans whose chain
-/// position cannot be determined, individually corrupt objects the
-/// restore does not need, and incrementals below the seed that no chain
-/// from a kept full checkpoint reaches — under "quarantine/<key>" so no
-/// bytes are destroyed.  Idempotent: a second run drops nothing.
+/// Repair a damaged store in place, one rank at a time: quarantine
+/// every object that fails the whole-object check or that the chain
+/// walk rejects (a broken parent link, a duplicate sequence, an
+/// incremental whose parent is stored twice, an incremental with no
+/// full checkpoint below it), run one truncated-tail restore over what
+/// is left, and quarantine the kept objects past the sequence it
+/// reached.  Quarantine moves the bytes under "quarantine/<key>", so
+/// none are destroyed.  A rank with no intact full checkpoint is left
+/// as it is and reported.  One pass leaves fsck healthy; a second
+/// drops nothing.
 Result<RepairReport> repair_store(storage::StorageBackend& storage);
 
 }  // namespace ickpt::checkpoint

@@ -77,11 +77,6 @@ Status fill_exact(ReadFn&& rd, std::span<std::byte> out,
   return Status::ok();
 }
 
-/// The sequential cursor of `in` as an ioutil::read_full source.
-auto sequential(storage::Reader& in) {
-  return [&in](std::span<std::byte> rest) { return in.read(rest); };
-}
-
 /// Read [offset, offset + out.size()) of an object with read_at(),
 /// counting every byte served in restore.bytes_read.
 Status read_range(storage::Reader& in, std::uint64_t offset,
@@ -150,27 +145,27 @@ BlockBytes fresh_block(std::size_t len) {
 // Sequential parse (fsck and the test oracle): every byte, every CRC.
 // ===================================================================
 
-/// Sequential reader with CRC tracking and strict bounds.  Bytes are
-/// hashed in pieces: cut() closes the current piece, folds it into the
-/// whole-object CRC and returns the piece's own CRC, so the chunk CRCs
-/// and the object CRC come from one pass over the bytes.
+/// Sequential reader with CRC tracking and strict bounds, over read_at
+/// at its own offset.  Its reads stay out of restore.bytes_read, which
+/// counts what restore reads.  Bytes are hashed in pieces: cut() closes
+/// the current piece, folds it into the whole-object CRC and returns
+/// the piece's own CRC, so the chunk CRCs and the object CRC come from
+/// one pass over the bytes.
 class CrcReader {
  public:
   explicit CrcReader(storage::Reader& in) : in_(in) {}
 
   Status read_exact(void* out, std::size_t len) {
-    ICKPT_RETURN_IF_ERROR(
-        fill_exact(sequential(in_), {static_cast<std::byte*>(out), len}));
+    ICKPT_RETURN_IF_ERROR(take({static_cast<std::byte*>(out), len}));
     piece_.update(out, len);
     piece_len_ += len;
-    offset_ += len;
     return Status::ok();
   }
 
   /// Read without CRC accounting (for the trailer itself).
   Status read_raw(void* out, std::size_t len) {
-    return fill_exact(sequential(in_), {static_cast<std::byte*>(out), len},
-                      "truncated checkpoint trailer");
+    return take({static_cast<std::byte*>(out), len},
+                "truncated checkpoint trailer");
   }
 
   std::uint32_t cut() {
@@ -191,12 +186,26 @@ class CrcReader {
 
   Result<bool> at_end() {
     std::byte probe;
-    auto got = in_.read({&probe, 1});
+    auto got = in_.read_at(offset_, {&probe, 1});
     if (!got.is_ok()) return got.status();
     return *got == 0;
   }
 
  private:
+  Status take(std::span<std::byte> out,
+              const char* truncated = "truncated checkpoint file") {
+    // `rest` is the still-unfilled tail of `out`.
+    ICKPT_RETURN_IF_ERROR(fill_exact(
+        [&](std::span<std::byte> rest) {
+          return in_.read_at(
+              offset_ + static_cast<std::uint64_t>(rest.data() - out.data()),
+              rest);
+        },
+        out, truncated));
+    offset_ += out.size();
+    return Status::ok();
+  }
+
   storage::Reader& in_;
   Crc32 whole_;
   Crc32 piece_;
@@ -218,6 +227,7 @@ Result<CheckpointFile> parse(storage::StorageBackend& storage,
   CrcReader in(**reader);
 
   CheckpointFile out;
+  out.size = (*reader)->size();
   FileHeader& h = out.header;
   ICKPT_RETURN_IF_ERROR(in.read_exact(&h, sizeof h));
   ICKPT_RETURN_IF_ERROR(validate_header(h, key));

@@ -103,6 +103,7 @@ struct RestoreOptions {
 /// One checkpoint object, parsed on its own.
 struct CheckpointFile {
   FileHeader header;
+  std::uint64_t size = 0;  ///< the object's bytes
   RestoredState state;  ///< blocks with only this object's runs applied
   std::map<std::uint32_t, std::vector<RunHeader>> runs;  ///< per block
 };

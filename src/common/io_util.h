@@ -7,9 +7,9 @@
 //     over short counts.  read_full stops early only at EOF; the
 //     writers either move every byte or return the errno as kIoError.
 //   * a generic read_full over any "read(span) -> Result<size_t>"
-//     callable (storage::Reader::read has exactly that shape), for
-//     code that must read an exact number of bytes from a streaming
-//     source that may legally return short counts.
+//     callable, for code that must read an exact number of bytes from
+//     a source that may legally return short counts (restore and fsck
+//     wrap storage::Reader::read_at at a running offset in one).
 #pragma once
 
 #include <cstddef>
@@ -41,9 +41,9 @@ Status pwrite_full(int fd, std::span<const std::span<const std::byte>> pieces,
 /// send() is not applicable.
 Status send_full(int fd, std::span<const std::byte> data);
 
-/// Read exactly out.size() bytes from a streaming source.  `rd` is any
-/// callable with the storage::Reader::read contract: fill up to the
-/// span, return the count, 0 at EOF.  Returns the total read —
+/// Read exactly out.size() bytes from a source that may return short
+/// counts.  `rd` is any callable that fills up to the span it is given
+/// and returns the count, 0 at EOF.  Returns the total read —
 /// out.size() normally, less only at EOF.
 template <typename ReadFn>
 Result<std::size_t> read_full(ReadFn&& rd, std::span<std::byte> out) {

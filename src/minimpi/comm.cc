@@ -1,10 +1,16 @@
 #include "minimpi/comm.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace ickpt::mpi {
 
@@ -38,20 +44,13 @@ struct World {
   std::vector<std::atomic<std::uint64_t>> recv_bytes;
   std::vector<std::atomic<std::uint64_t>> send_bytes;
 
-  // Central barrier (sense-reversing via generation counter).
-  std::mutex barrier_mu;
-  std::condition_variable barrier_cv;
-  int barrier_waiting = 0;
-  std::uint64_t barrier_generation = 0;
-
-  // Scratch for allreduce (guarded by the barrier protocol around it).
+  // The allreduce round (see allreduce_sum).
   std::mutex reduce_mu;
   std::condition_variable reduce_cv;
   int reduce_arrived = 0;
   int reduce_departed = 0;
   std::uint64_t reduce_generation = 0;
   double reduce_acc_d = 0.0;
-  std::uint64_t reduce_acc_u = 0;
 
   bool matches(const Message& m, int src, int tag) const {
     return (src == kAnySource || m.src == src) &&
@@ -91,11 +90,9 @@ void Comm::send(int dst, int tag, std::span<const std::byte> data) {
       data.size(), std::memory_order_relaxed);
 }
 
-namespace {
-
-Result<RecvInfo> pop_matching(World& world, int self, int src, int tag,
-                              std::span<std::byte> out, bool blocking) {
-  auto& box = *world.mailboxes[static_cast<std::size_t>(self)];
+Result<RecvInfo> Comm::recv(int src, int tag, std::span<std::byte> out) {
+  World& world = *world_;
+  auto& box = *world.mailboxes[static_cast<std::size_t>(rank_)];
   std::unique_lock<std::mutex> lock(box.mu);
   for (;;) {
     auto it = std::find_if(box.queue.begin(), box.queue.end(),
@@ -110,11 +107,10 @@ Result<RecvInfo> pop_matching(World& world, int self, int src, int tag,
       RecvInfo info{it->src, it->tag, it->payload.size()};
       std::memcpy(out.data(), it->payload.data(), it->payload.size());
       box.queue.erase(it);
-      world.recv_bytes[static_cast<std::size_t>(self)].fetch_add(
+      world.recv_bytes[static_cast<std::size_t>(rank_)].fetch_add(
           info.bytes, std::memory_order_relaxed);
       return info;
     }
-    if (!blocking) return not_found("try_recv: no matching message");
     if (world.aborted.load(std::memory_order_relaxed)) {
       throw std::runtime_error("minimpi: world aborted while in recv");
     }
@@ -122,68 +118,14 @@ Result<RecvInfo> pop_matching(World& world, int self, int src, int tag,
   }
 }
 
-}  // namespace
-
-Result<RecvInfo> Comm::recv(int src, int tag, std::span<std::byte> out) {
-  return pop_matching(*world_, rank_, src, tag, out, /*blocking=*/true);
-}
-
-Result<RecvInfo> Comm::try_recv(int src, int tag, std::span<std::byte> out) {
-  return pop_matching(*world_, rank_, src, tag, out, /*blocking=*/false);
-}
-
-Result<RecvInfo> Comm::sendrecv(int partner, int tag,
-                                std::span<const std::byte> to_send,
-                                std::span<std::byte> out) {
-  send(partner, tag, to_send);  // buffered: cannot deadlock
-  return recv(partner, tag, out);
-}
-
-void Comm::barrier() {
-  std::unique_lock<std::mutex> lock(world_->barrier_mu);
-  std::uint64_t gen = world_->barrier_generation;
-  if (++world_->barrier_waiting == world_->nprocs) {
-    world_->barrier_waiting = 0;
-    ++world_->barrier_generation;
-    world_->barrier_cv.notify_all();
-    return;
-  }
-  world_->barrier_cv.wait(lock, [&] {
-    return world_->barrier_generation != gen ||
-           world_->aborted.load(std::memory_order_relaxed);
-  });
-  if (world_->barrier_generation == gen) {
-    throw std::runtime_error("minimpi: world aborted while in barrier");
-  }
-}
-
-void Comm::bcast(int root, std::span<std::byte> data) {
-  constexpr int kBcastTag = -1000;  // internal tag space
-  if (rank_ == root) {
-    for (int r = 0; r < world_->nprocs; ++r) {
-      if (r != root) send(r, kBcastTag, data);
-    }
-  } else {
-    auto info = recv(root, kBcastTag, data);
-    if (!info.is_ok()) {
-      throw std::runtime_error("bcast recv failed: " +
-                               info.status().to_string());
-    }
-  }
-}
-
-namespace {
-
-/// Reduction round shared by the typed allreduces.
+/// Reduction round.
 ///
 /// Protocol: an entry gate keeps new rounds out until the previous one
-/// fully drains; each rank folds its value into the accumulator; the
-/// last arrival publishes the result and bumps the generation; every
-/// rank then reads the published result and the last departure resets
-/// the round.  `fold(first)` merges this rank's value (first==true on
-/// the round's first fold); `read()` extracts the published result.
-template <typename Fold, typename Read>
-auto allreduce_impl(World& world, Fold fold, Read read) {
+/// fully drains; each rank adds its value to the accumulator; the last
+/// arrival publishes the sum and bumps the generation; every rank then
+/// reads the published sum and the last departure resets the round.
+double Comm::allreduce_sum(double value) {
+  World& world = *world_;
   std::unique_lock<std::mutex> lock(world.reduce_mu);
   auto aborted = [&] {
     return world.aborted.load(std::memory_order_relaxed);
@@ -197,7 +139,8 @@ auto allreduce_impl(World& world, Fold fold, Read read) {
     throw std::runtime_error("minimpi: world aborted while in allreduce");
   }
   const std::uint64_t gen = world.reduce_generation;
-  fold(world.reduce_arrived == 0);
+  if (world.reduce_arrived == 0) world.reduce_acc_d = 0.0;
+  world.reduce_acc_d += value;
   if (++world.reduce_arrived == world.nprocs) {
     ++world.reduce_generation;  // publishes the accumulator
     world.reduce_cv.notify_all();
@@ -209,51 +152,13 @@ auto allreduce_impl(World& world, Fold fold, Read read) {
       throw std::runtime_error("minimpi: world aborted while in allreduce");
     }
   }
-  auto result = read();
+  const double sum = world.reduce_acc_d;
   if (++world.reduce_departed == world.nprocs) {
     world.reduce_arrived = 0;
     world.reduce_departed = 0;
     world.reduce_cv.notify_all();  // opens the entry gate
   }
-  return result;
-}
-
-}  // namespace
-
-double Comm::allreduce_sum(double value) {
-  World& w = *world_;
-  return allreduce_impl(
-      w,
-      [&](bool first) {
-        if (first) w.reduce_acc_d = 0.0;
-        w.reduce_acc_d += value;
-      },
-      [&] { return w.reduce_acc_d; });
-}
-
-double Comm::allreduce_max(double value) {
-  World& w = *world_;
-  return allreduce_impl(
-      w,
-      [&](bool first) {
-        if (first) {
-          w.reduce_acc_d = value;
-        } else {
-          w.reduce_acc_d = std::max(w.reduce_acc_d, value);
-        }
-      },
-      [&] { return w.reduce_acc_d; });
-}
-
-std::uint64_t Comm::allreduce_sum_u64(std::uint64_t value) {
-  World& w = *world_;
-  return allreduce_impl(
-      w,
-      [&](bool first) {
-        if (first) w.reduce_acc_u = 0;
-        w.reduce_acc_u += value;
-      },
-      [&] { return w.reduce_acc_u; });
+  return sum;
 }
 
 void Runtime::run(int nprocs, const std::function<void(Comm&)>& fn) {
@@ -280,10 +185,6 @@ void Runtime::run(int nprocs, const std::function<void(Comm&)>& fn) {
         for (auto& box : world.mailboxes) {
           std::lock_guard<std::mutex> box_lock(box->mu);
           box->cv.notify_all();
-        }
-        {
-          std::lock_guard<std::mutex> lock(world.barrier_mu);
-          world.barrier_cv.notify_all();
         }
         {
           std::lock_guard<std::mutex> lock(world.reduce_mu);

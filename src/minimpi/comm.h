@@ -2,22 +2,17 @@
 //
 // Substitutes for the paper's MPI-over-QsNet substrate: ranks are
 // threads inside one process, point-to-point messages are copied
-// through per-rank mailboxes, and the collectives the proxy kernels
-// need (barrier, bcast, reduce, allreduce, alltoall) are built on top.
+// through per-rank mailboxes, and the one collective the proxy kernels
+// need (allreduce_sum) is a shared reduction round.
 //
 // Per-rank traffic counters expose "data received per timeslice"
 // (paper Figure 1b) to the sampler.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 
@@ -53,31 +48,12 @@ class Comm {
   /// Fails with kOutOfRange if the message is larger than `out`.
   Result<RecvInfo> recv(int src, int tag, std::span<std::byte> out);
 
-  /// Non-blocking variant; kNotFound when no matching message queued.
-  Result<RecvInfo> try_recv(int src, int tag, std::span<std::byte> out);
-
-  /// Simultaneous exchange with a partner (no deadlock regardless of
-  /// ordering, like MPI_Sendrecv).
-  Result<RecvInfo> sendrecv(int partner, int tag,
-                            std::span<const std::byte> to_send,
-                            std::span<std::byte> out);
-
-  /// Collectives over all ranks.
-  void barrier();
-  void bcast(int root, std::span<std::byte> data);
+  /// Sum of `value` over all ranks, returned on every rank.
   double allreduce_sum(double value);
-  double allreduce_max(double value);
-  std::uint64_t allreduce_sum_u64(std::uint64_t value);
 
   /// Total payload bytes this rank has received / sent so far.
   std::uint64_t bytes_received() const noexcept;
   std::uint64_t bytes_sent() const noexcept;
-
-  /// Per-rank collective-call counter.  Collectives are called in the
-  /// same order on every rank, so this yields matching values across
-  /// ranks; the higher-level collectives fold it into their internal
-  /// tags so back-to-back calls can never interleave messages.
-  int next_collective_seq() noexcept { return collective_seq_++; }
 
  private:
   friend class Runtime;
@@ -86,7 +62,6 @@ class Comm {
 
   detail::World* world_;
   int rank_;
-  int collective_seq_ = 0;
 };
 
 /// Launches `fn` on `nprocs` rank threads and joins them.

@@ -202,6 +202,18 @@ void crash_handler(int signo) {
   ::raise(signo);
 }
 
+void install_crash_handler() {
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof sa);
+  sa.sa_handler = crash_handler;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ::sigaction(SIGABRT, &sa, nullptr);
+  ::sigaction(SIGBUS, &sa, nullptr);
+  ::sigaction(SIGILL, &sa, nullptr);
+  ::sigaction(SIGFPE, &sa, nullptr);
+}
+
 }  // namespace
 
 void configure(const std::string& dir, std::size_t last_events) {
@@ -215,6 +227,7 @@ void configure(const std::string& dir, std::size_t last_events) {
     // ~200 B/event + room for a full registry of reduced histograms.
     g_state.buf_cap = 64 * 1024 + last_events * 224;
     g_state.buf = new char[g_state.buf_cap];
+    install_crash_handler();
   }
   g_armed.store(true, std::memory_order_release);
 }
@@ -272,18 +285,6 @@ std::string dump(std::string_view reason) {
   f.close();
   if (!f) return "";
   return path;
-}
-
-void install_crash_handler() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = crash_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;
-  ::sigaction(SIGABRT, &sa, nullptr);
-  ::sigaction(SIGBUS, &sa, nullptr);
-  ::sigaction(SIGILL, &sa, nullptr);
-  ::sigaction(SIGFPE, &sa, nullptr);
 }
 
 void dump_from_signal(const char* reason) noexcept {

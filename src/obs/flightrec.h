@@ -7,7 +7,7 @@
 //   * dump(reason) — the normal-path dump, used when restore_chain or
 //     fsck fails: full Snapshot::to_json() metrics plus decoded trace
 //     events.  Allocates; normal threads only.
-//   * crash dump — install_crash_handler() hooks fatal signals
+//   * crash dump — the first configure() hooks fatal signals
 //     (SIGABRT/SIGBUS/SIGILL/SIGFPE), and the memtrack fault table
 //     calls dump_from_signal() before re-raising an unhandled SIGSEGV.
 //     This path is async-signal-safe: it formats into buffers
@@ -34,8 +34,12 @@ namespace ickpt::obs::flightrec {
 
 /// Arm the flight recorder: dumps land in `dir`, carrying up to
 /// `last_events` of the most recent trace events.  Preallocates every
-/// buffer the signal path needs.  Re-configuring moves the target
-/// directory; the first `last_events` wins.  Normal threads only.
+/// buffer the signal path needs.  The first call also installs
+/// handlers for SIGABRT, SIGBUS, SIGILL and SIGFPE that dump before
+/// re-raising with the default disposition; SIGSEGV stays owned by the
+/// memtrack fault table, which calls dump_from_signal() itself on the
+/// not-ours crash path.  Re-configuring moves the target directory;
+/// the first `last_events` wins.  Normal threads only.
 void configure(const std::string& dir, std::size_t last_events = 512);
 
 bool configured() noexcept;
@@ -43,12 +47,6 @@ bool configured() noexcept;
 /// Normal-path dump (full metrics snapshot + trace events).  Returns
 /// the path written, or "" when unconfigured or the write failed.
 std::string dump(std::string_view reason);
-
-/// Install fatal-signal handlers (SIGABRT, SIGBUS, SIGILL, SIGFPE)
-/// that dump before re-raising with default disposition.  Idempotent.
-/// SIGSEGV stays owned by the memtrack fault table, which calls
-/// dump_from_signal() itself on the not-ours crash path.
-void install_crash_handler();
 
 /// Async-signal-safe dump.  `reason` must be a literal or otherwise
 /// immortal string.  No-op when unconfigured; at most one crash dump

@@ -113,25 +113,6 @@ TEST(P2PTest, RecvBufferTooSmallFails) {
   });
 }
 
-TEST(P2PTest, TryRecvNonBlocking) {
-  Runtime::run(2, [](Comm& comm) {
-    std::byte buf[8];
-    if (comm.rank() == 1) {
-      // Nothing has been sent yet: rank 0 is blocked waiting for our
-      // go-ahead, so this try_recv is guaranteed to find nothing.
-      auto nothing = comm.try_recv(0, 5, buf);
-      EXPECT_EQ(nothing.status().code(), ErrorCode::kNotFound);
-      comm.send(0, 99, as_bytes("go"));
-      auto info = comm.recv(0, 5, buf);
-      EXPECT_TRUE(info.is_ok());
-    } else {
-      std::byte go[4];
-      ASSERT_TRUE(comm.recv(1, 99, go).is_ok());
-      comm.send(1, 5, as_bytes("now"));
-    }
-  });
-}
-
 TEST(P2PTest, SendToBadRankThrows) {
   Runtime::run(1, [](Comm& comm) {
     std::byte b{0};
@@ -140,58 +121,18 @@ TEST(P2PTest, SendToBadRankThrows) {
   });
 }
 
-TEST(P2PTest, SendRecvExchange) {
-  Runtime::run(2, [](Comm& comm) {
-    std::string mine = comm.rank() == 0 ? "from0" : "from1";
-    std::byte buf[8];
-    auto info = comm.sendrecv(1 - comm.rank(), 3, as_bytes(mine), buf);
-    ASSERT_TRUE(info.is_ok());
-    std::string expected = comm.rank() == 0 ? "from1" : "from0";
-    EXPECT_EQ(std::memcmp(buf, expected.data(), 5), 0);
-  });
-}
-
 TEST(TrafficTest, CountersTrackPayloadBytes) {
   Runtime::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 1, as_bytes("abcd"));
-      comm.barrier();
+      comm.allreduce_sum(0.0);
       EXPECT_EQ(comm.bytes_sent(), 4u);
       EXPECT_EQ(comm.bytes_received(), 0u);
     } else {
       std::byte buf[8];
       ASSERT_TRUE(comm.recv(0, 1, buf).is_ok());
-      comm.barrier();
+      comm.allreduce_sum(0.0);
       EXPECT_EQ(comm.bytes_received(), 4u);
-    }
-  });
-}
-
-TEST(CollectiveTest, BarrierSynchronizes) {
-  std::atomic<int> phase{0};
-  Runtime::run(4, [&](Comm& comm) {
-    ++phase;
-    comm.barrier();
-    EXPECT_EQ(phase.load(), 4);  // nobody passes until all arrived
-    comm.barrier();
-  });
-}
-
-TEST(CollectiveTest, RepeatedBarriers) {
-  Runtime::run(3, [](Comm& comm) {
-    for (int i = 0; i < 50; ++i) comm.barrier();
-  });
-}
-
-TEST(CollectiveTest, BcastFromEachRoot) {
-  Runtime::run(3, [](Comm& comm) {
-    for (int root = 0; root < 3; ++root) {
-      std::byte buf[4] = {};
-      if (comm.rank() == root) {
-        buf[0] = std::byte{static_cast<unsigned char>(root + 1)};
-      }
-      comm.bcast(root, buf);
-      EXPECT_EQ(buf[0], std::byte{static_cast<unsigned char>(root + 1)});
     }
   });
 }
@@ -200,21 +141,6 @@ TEST(CollectiveTest, AllreduceSum) {
   Runtime::run(4, [](Comm& comm) {
     double sum = comm.allreduce_sum(static_cast<double>(comm.rank() + 1));
     EXPECT_DOUBLE_EQ(sum, 10.0);  // 1+2+3+4
-  });
-}
-
-TEST(CollectiveTest, AllreduceMax) {
-  Runtime::run(4, [](Comm& comm) {
-    double mx = comm.allreduce_max(static_cast<double>(comm.rank() * 3));
-    EXPECT_DOUBLE_EQ(mx, 9.0);
-  });
-}
-
-TEST(CollectiveTest, AllreduceSumU64) {
-  Runtime::run(3, [](Comm& comm) {
-    std::uint64_t sum = comm.allreduce_sum_u64(
-        static_cast<std::uint64_t>(comm.rank()) + 100);
-    EXPECT_EQ(sum, 303u);
   });
 }
 
@@ -229,12 +155,7 @@ TEST(CollectiveTest, BackToBackAllreducesKeepRoundsSeparate) {
 
 TEST(CollectiveTest, SingleRankCollectivesAreIdentity) {
   Runtime::run(1, [](Comm& comm) {
-    comm.barrier();
     EXPECT_DOUBLE_EQ(comm.allreduce_sum(3.5), 3.5);
-    EXPECT_DOUBLE_EQ(comm.allreduce_max(-1.0), -1.0);
-    std::byte buf[2] = {std::byte{9}, std::byte{9}};
-    comm.bcast(0, buf);
-    EXPECT_EQ(buf[0], std::byte{9});
   });
 }
 

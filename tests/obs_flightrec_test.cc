@@ -169,10 +169,10 @@ TEST(FlightRecTest, RestoreFailureDumpsTheFailingSpan) {
 
 TEST(FlightRecTest, CrashPathDumpsFromFatalSignal) {
   const std::string dir = make_temp_dir();
-  // Arm everything in the parent: the child only takes the signal, so
-  // the handler exercises the preallocated async-signal-safe path.
+  // Arm in the parent (configuring installs the fatal-signal handlers):
+  // the child only takes the signal, so the handler exercises the
+  // preallocated async-signal-safe path.
   flightrec::configure(dir);
-  flightrec::install_crash_handler();
   const std::uint16_t id = trace_name("test.flightrec.crash");
   start_tracing();
   trace_instant(id, 99);

@@ -1037,6 +1037,162 @@ TEST_F(RestoreChainTest, RepairConvergesWhenDamageLiesBelowTheNewestFull) {
   }
 }
 
+// One sequence under two keys: chain 0..3 plus a copy of object 3 or of
+// object 1 under the key of a fifth object.  Repair keeps the first
+// copy in key order, as restore does, and never restores past a
+// duplicate that restore stops at: objects that build on a sequence
+// stored twice go too.  One pass leaves fsck healthy.
+TEST_F(RestoreChainTest, RepairConvergesOnADuplicateSequence) {
+  build_chain(3);
+  const auto pristine = snapshot_store();
+  const struct {
+    std::uint64_t copied;
+    std::vector<std::uint64_t> dropped;  ///< by key
+    std::uint64_t recovered;
+  } cases[] = {{3, {4}, 3}, {1, {2, 3, 4}, 1}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.copied);
+    reset_store(pristine);
+    write_object(checkpoint_key(0, 4),
+                 pristine.at(checkpoint_key(0, c.copied)));
+
+    auto rep = repair_store(*storage_);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    EXPECT_TRUE(rep->clean());
+    EXPECT_EQ(rep->recovered_upto[0], c.recovered);
+    std::vector<std::uint64_t> dropped;
+    for (const auto& d : rep->dropped) {
+      std::uint64_t seq = 0;
+      ASSERT_TRUE(parse_checkpoint_key(d.key, &seq)) << d.key;
+      dropped.push_back(seq);
+      EXPECT_TRUE(storage_->exists(d.quarantine_key));
+    }
+    std::sort(dropped.begin(), dropped.end());
+    EXPECT_EQ(dropped, c.dropped);
+
+    auto report = inspect_store(*storage_);
+    ASSERT_TRUE(report.is_ok());
+    ASSERT_EQ(report->chains.count(0u), 1u);
+    EXPECT_TRUE(report->healthy())
+        << (report->chains[0].problems.empty()
+                ? std::string()
+                : report->chains[0].problems.front());
+    EXPECT_EQ(report->chains[0].recoverable_upto, c.recovered);
+    auto state = restore_chain(*storage_, 0);
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    auto reference = restore_chain_serial(*storage_, 0, c.recovered);
+    ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+    expect_states_identical(*reference, *state);
+
+    auto again = repair_store(*storage_);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_TRUE(again->dropped.empty());
+  }
+}
+
+// Chains of 4-8 objects that re-seed at random, hit by one to three
+// random kinds of damage: a copy under a new key or over another
+// object, a removal, a flipped byte, an obliterated header, a junk
+// object, a truncation.  One repair pass leaves fsck healthy with the
+// strict restore at the recovered sequence, or, with no intact full
+// checkpoint left, drops nothing; a second pass drops nothing.
+TEST_F(RestoreChainTest, RepairConvergesUnderRandomDamage) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    reset_store({});
+    ExplicitEngine engine;
+    AddressSpace space(engine, "rank0");
+    auto ckpt = Checkpointer::create(space, storage_.get());
+    ASSERT_TRUE(ckpt.is_ok());
+    auto block = space.map(8 * page_size(), AreaKind::kHeap, "a");
+    ASSERT_TRUE(block.is_ok());
+    fill_pattern(block->mem, seed);
+    ASSERT_TRUE((*ckpt)->checkpoint_full(0.0).is_ok());
+    ASSERT_TRUE(engine.arm().is_ok());
+    const std::size_t increments = 3 + rng.next_index(5);
+    for (std::size_t i = 1; i <= increments; ++i) {
+      auto page =
+          block->mem.subspan(rng.next_index(8) * page_size(), page_size());
+      fill_pattern(page, seed * 100 + i);
+      engine.note_write(page.data(), page.size());
+      auto snap = engine.collect(true);
+      ASSERT_TRUE(snap.is_ok());
+      const double vt = static_cast<double>(i);
+      ASSERT_TRUE(rng.next_index(4) == 0
+                      ? (*ckpt)->checkpoint_full(vt).is_ok()
+                      : (*ckpt)->checkpoint_incremental(*snap, vt).is_ok());
+    }
+
+    const std::size_t damages = 1 + rng.next_index(3);
+    for (std::size_t d = 0; d < damages; ++d) {
+      auto keys = storage_->list();
+      ASSERT_TRUE(keys.is_ok());
+      const std::string& key = (*keys)[rng.next_index(keys->size())];
+      auto data = read_object(key);
+      if (data.empty()) continue;
+      switch (rng.next_index(7)) {
+        case 0:
+          write_object(checkpoint_key(0, 50 + rng.next_index(50)), data);
+          break;
+        case 1:
+          write_object((*keys)[rng.next_index(keys->size())], data);
+          break;
+        case 2:
+          ASSERT_TRUE(storage_->remove(key).is_ok());
+          break;
+        case 3:
+          data[data.size() / 2] ^= std::byte{0xFF};
+          write_object(key, data);
+          break;
+        case 4:
+          corrupt_header(key);
+          break;
+        case 5:
+          write_junk("rank0/junk-" + std::to_string(d));
+          break;
+        case 6:
+          write_object(key, {data.data(), data.size() / 2});
+          break;
+      }
+    }
+
+    auto rep = repair_store(*storage_);
+    ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+    if (!rep->clean()) {
+      EXPECT_TRUE(rep->dropped.empty());
+      continue;
+    }
+    ASSERT_EQ(rep->recovered_upto.count(0u), 1u);
+    auto report = inspect_store(*storage_);
+    ASSERT_TRUE(report.is_ok());
+    ASSERT_TRUE(report->healthy()) << report->chains[0].problems.front();
+    auto state = restore_chain(*storage_, 0);
+    ASSERT_TRUE(state.is_ok()) << state.status().to_string();
+    EXPECT_EQ(state->sequence, rep->recovered_upto[0]);
+    auto again = repair_store(*storage_);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_TRUE(again->dropped.empty());
+  }
+}
+
+// With no intact full checkpoint nothing can be restored: repair keeps
+// every object for a human to look at and says why.
+TEST_F(RestoreChainTest, RepairKeepsARankWithoutAnIntactFull) {
+  build_chain(2);
+  corrupt_payload(checkpoint_key(0, 0));
+  const auto before = snapshot_store();
+  auto rep = repair_store(*storage_);
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  EXPECT_TRUE(rep->dropped.empty());
+  EXPECT_EQ(rep->recovered_upto.count(0u), 0u);
+  ASSERT_EQ(rep->problems.size(), 1u);
+  EXPECT_NE(rep->problems[0].find("rank 0 has no restorable prefix"),
+            std::string::npos)
+      << rep->problems[0];
+  EXPECT_EQ(snapshot_store(), before);
+}
+
 TEST_F(RestoreChainTest, RepairLeavesHealthyStoreAlone) {
   build_chain(3);
   auto rep = repair_store(*storage_);

@@ -634,7 +634,7 @@ int cmd_store_get(int argc, char** argv) {
     std::vector<std::byte> buf(1u << 20);
     std::uint64_t total = 0;
     for (;;) {
-      auto got = (*reader)->read(buf);
+      auto got = (*reader)->read_at(total, buf);
       if (!got.is_ok()) return store_error("get", got.status());
       if (*got == 0) break;
       if (std::fwrite(buf.data(), 1, *got, out) != *got) {
