@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <utility>
 
@@ -66,32 +67,31 @@ struct RestoreMetrics {
   }
 };
 
-/// Fill all of `out` from `rd` (ioutil::read_full retries short
-/// counts); a source that ends first is kCorruption(`truncated`).
-template <typename ReadFn>
-Status fill_exact(ReadFn&& rd, std::span<std::byte> out,
-                  const char* truncated = "truncated checkpoint file") {
-  auto got = ioutil::read_full(std::forward<ReadFn>(rd), out);
-  if (!got.is_ok()) return got.status();
-  if (*got < out.size()) return corruption(truncated);
-  return Status::ok();
-}
+/// The most bytes one read_at asks for.  Restore merges consecutive
+/// winning chunks of one object into reads up to this size (a single
+/// larger chunk is read alone); the whole-object parse reads the object
+/// in pieces of this size.
+constexpr std::uint64_t kMaxRead = 1 << 20;
 
 /// Read [offset, offset + out.size()) of an object with read_at(),
-/// counting every byte served in restore.bytes_read.
+/// counting every byte served in restore.bytes_read.  ioutil::read_full
+/// retries short counts; an object that ends first is kCorruption.
 Status read_range(storage::Reader& in, std::uint64_t offset,
                   std::span<std::byte> out) {
   auto& bytes_read = RestoreMetrics::get().bytes_read;
   // `rest` is the still-unfilled tail of `out`.
-  return fill_exact(
+  auto got = ioutil::read_full(
       [&](std::span<std::byte> rest) {
-        auto got = in.read_at(
+        auto served = in.read_at(
             offset + static_cast<std::uint64_t>(rest.data() - out.data()),
             rest);
-        if (got.is_ok()) bytes_read.inc(*got);
-        return got;
+        if (served.is_ok()) bytes_read.inc(*served);
+        return served;
       },
       out);
+  if (!got.is_ok()) return got.status();
+  if (*got < out.size()) return corruption("truncated checkpoint file");
+  return Status::ok();
 }
 
 template <typename T>
@@ -145,12 +145,15 @@ BlockBytes fresh_block(std::size_t len) {
 // Sequential parse (fsck and the test oracle): every byte, every CRC.
 // ===================================================================
 
-/// Sequential reader with CRC tracking and strict bounds, over read_at
-/// at its own offset.  Its reads stay out of restore.bytes_read, which
-/// counts what restore reads.  Bytes are hashed in pieces: cut() closes
-/// the current piece, folds it into the whole-object CRC and returns
-/// the piece's own CRC, so the chunk CRCs and the object CRC come from
-/// one pass over the bytes.
+/// Sequential reader with CRC tracking and strict bounds.  It fills a
+/// buffer with one read_at of up to kMaxRead bytes at a time and parses
+/// from memory, so an object costs one store call per MiB it spans plus
+/// one that finds its end (over RemoteBackend each is a round trip).
+/// Its reads stay out of restore.bytes_read, which counts what restore
+/// reads.  Bytes are hashed in pieces: cut() closes the current piece,
+/// folds it into the whole-object CRC and returns the piece's own CRC,
+/// so the chunk CRCs and the object CRC come from one pass over the
+/// bytes.
 class CrcReader {
  public:
   explicit CrcReader(storage::Reader& in) : in_(in) {}
@@ -184,33 +187,48 @@ class CrcReader {
 
   std::uint64_t offset() const noexcept { return offset_; }
 
+  /// True when no byte follows the ones taken so far.
   Result<bool> at_end() {
-    std::byte probe;
-    auto got = in_.read_at(offset_, {&probe, 1});
-    if (!got.is_ok()) return got.status();
-    return *got == 0;
+    if (pos_ < len_) return false;
+    ICKPT_ASSIGN_OR_RETURN(got, refill());
+    return got == 0;
   }
 
  private:
+  /// Replace the drained buffer with the bytes at offset_: one read_at
+  /// of up to kMaxRead bytes.  Returns the count, 0 past the end.
+  Result<std::size_t> refill() {
+    ICKPT_ASSIGN_OR_RETURN(got, in_.read_at(offset_, {buf_.get(), kMaxRead}));
+    pos_ = 0;
+    len_ = got;
+    return got;
+  }
+
   Status take(std::span<std::byte> out,
               const char* truncated = "truncated checkpoint file") {
-    // `rest` is the still-unfilled tail of `out`.
-    ICKPT_RETURN_IF_ERROR(fill_exact(
-        [&](std::span<std::byte> rest) {
-          return in_.read_at(
-              offset_ + static_cast<std::uint64_t>(rest.data() - out.data()),
-              rest);
-        },
-        out, truncated));
-    offset_ += out.size();
+    for (std::size_t done = 0; done < out.size();) {
+      if (pos_ == len_) {
+        ICKPT_ASSIGN_OR_RETURN(got, refill());
+        if (got == 0) return corruption(truncated);
+      }
+      const std::size_t n = std::min(out.size() - done, len_ - pos_);
+      std::memcpy(out.data() + done, buf_.get() + pos_, n);
+      pos_ += n;
+      done += n;
+      offset_ += n;
+    }
     return Status::ok();
   }
 
   storage::Reader& in_;
+  std::unique_ptr<std::byte[]> buf_ =
+      std::make_unique_for_overwrite<std::byte[]>(kMaxRead);
+  std::size_t pos_ = 0;  ///< next unread byte of buf_
+  std::size_t len_ = 0;  ///< bytes held in buf_
   Crc32 whole_;
   Crc32 piece_;
   std::uint64_t piece_len_ = 0;
-  std::uint64_t offset_ = 0;
+  std::uint64_t offset_ = 0;  ///< object offset of the next byte taken
 };
 
 void append(std::vector<std::byte>& buf, const void* data, std::size_t len) {
@@ -253,7 +271,13 @@ Result<CheckpointFile> parse(storage::StorageBackend& storage,
     block.name = std::move(name);
     block.kind = static_cast<region::AreaKind>(bh.kind);
     const std::size_t rounded = page_ceil(bh.bytes, psize);
-    block.data = BlockBytes(rounded);
+    // No CRC checked so far covers the size, so a damaged one can ask
+    // for more than the host can map.
+    try {
+      block.data = BlockBytes(rounded);
+    } catch (const std::bad_alloc&) {
+      return corruption("unmappable block size in " + key);
+    }
     const std::size_t block_pages = rounded / psize;
 
     auto& run_list = out.runs[bh.block_id];
@@ -535,10 +559,6 @@ class Workers {
 // ===================================================================
 // Decode: read the winning chunks, verify, decode.
 // ===================================================================
-
-/// Reads merge consecutive winning chunks of one object up to this
-/// many bytes (a single larger chunk is read alone).
-constexpr std::uint64_t kMaxRead = 1 << 20;
 
 /// One read: winning chunks [first, end) of one object, with only
 /// structural bytes between them.

@@ -38,10 +38,7 @@ PageRange PageArena::range() const noexcept {
 }
 
 void PageArena::prefault() noexcept {
-  const std::size_t psize = page_size();
-  for (std::size_t off = 0; off < size_; off += psize) {
-    data_[off] = std::byte{0};
-  }
+  (void)::madvise(data_, size_, MADV_POPULATE_WRITE);
 }
 
 void PageArena::reset() noexcept {

@@ -38,9 +38,13 @@ class PageArena {
   /// Page-aligned address range of the mapping.
   PageRange range() const noexcept;
 
-  /// Pre-fault all pages (touch one byte per page) so later protection
-  /// changes and dirty-tracking measure steady-state behaviour rather
-  /// than first-touch allocation.
+  /// Make every page resident and writable, contents unchanged, in one
+  /// madvise(MADV_POPULATE_WRITE) call (Linux >= 5.14), so later
+  /// protection changes and dirty tracking measure steady-state
+  /// behaviour rather than first-touch allocation.  A read-only
+  /// populate would not do: it maps the shared zero page, and the first
+  /// store would still fault.  Where the kernel refuses the call, pages
+  /// fault in on first touch instead; nothing else changes.
   void prefault() noexcept;
 
   /// Release the mapping early (idempotent).

@@ -8,8 +8,8 @@
 //     writers either move every byte or return the errno as kIoError.
 //   * a generic read_full over any "read(span) -> Result<size_t>"
 //     callable, for code that must read an exact number of bytes from
-//     a source that may legally return short counts (restore and fsck
-//     wrap storage::Reader::read_at at a running offset in one).
+//     a source that may legally return short counts (restore wraps
+//     storage::Reader::read_at at a running offset in one).
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,12 @@
 #include "common/arena.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 namespace ickpt {
 namespace {
@@ -65,12 +68,31 @@ TEST(ArenaTest, ResetReleases) {
   EXPECT_TRUE(a.empty());
 }
 
-TEST(ArenaTest, PrefaultTouchesEveryPage) {
-  PageArena a(8 * page_size());
-  a.prefault();  // must not crash; pages stay zero
-  for (std::size_t off = 0; off < a.size(); off += page_size()) {
-    EXPECT_EQ(a.data()[off], std::byte{0});
+/// Minor faults this thread has taken so far.
+long minor_faults() {
+  rusage ru{};
+  EXPECT_EQ(::getrusage(RUSAGE_THREAD, &ru), 0);
+  return ru.ru_minflt;
+}
+
+TEST(ArenaTest, PrefaultMakesEveryPageResident) {
+  PageArena a(64 * page_size());
+  a.prefault();
+  std::vector<unsigned char> vec(a.size() / page_size());
+  ASSERT_EQ(::mincore(a.data(), a.size(), vec.data()), 0);
+  for (std::size_t p = 0; p < vec.size(); ++p) {
+    EXPECT_NE(vec[p] & 1u, 0u) << "page " << p << " is not resident";
   }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], std::byte{0}) << "at offset " << i;
+  }
+  // Resident and writable: a populate that only read would have mapped
+  // the shared zero page, and each store would fault to copy it.
+  const long before = minor_faults();
+  for (std::size_t off = 0; off < a.size(); off += page_size()) {
+    a.data()[off] = std::byte{1};
+  }
+  EXPECT_EQ(minor_faults() - before, 0);
 }
 
 TEST(ArenaTest, ZeroBytesYieldsEmpty) {

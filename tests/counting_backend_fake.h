@@ -1,8 +1,9 @@
 // Test fake: a pass-through storage decorator that counts the opens
 // it serves, the bytes its readers return from read() and read_at(),
-// and the write() calls its writers take.  Lets tests hold restore's
-// own counters and its open budget to what the store actually served,
-// and the checkpoint writer to the calls it hands the store.
+// the read_at() calls they take, and the write() calls its writers
+// take.  Lets tests hold restore's own counters and its open budget to
+// what the store actually served, the whole-object parse to its read
+// calls, and the checkpoint writer to the calls it hands the store.
 #pragma once
 
 #include <atomic>
@@ -30,7 +31,7 @@ class CountingBackend : public StorageBackend {
     if (!r.is_ok()) return r.status();
     opens_.fetch_add(1, std::memory_order_relaxed);
     return {std::unique_ptr<Reader>(
-        new CountingReader(std::move(*r), bytes_served_))};
+        new CountingReader(std::move(*r), bytes_served_, read_ats_))};
   }
   Status remove(const std::string& key) override { return inner_.remove(key); }
   Result<std::vector<std::string>> list() override { return inner_.list(); }
@@ -41,6 +42,7 @@ class CountingBackend : public StorageBackend {
 
   std::uint64_t opens() const noexcept { return opens_.load(); }
   std::uint64_t bytes_served() const noexcept { return bytes_served_.load(); }
+  std::uint64_t read_ats() const noexcept { return read_ats_.load(); }
   std::uint64_t writes() const noexcept { return writes_.load(); }
 
  private:
@@ -66,8 +68,9 @@ class CountingBackend : public StorageBackend {
   class CountingReader : public Reader {
    public:
     CountingReader(std::unique_ptr<Reader> inner,
-                   std::atomic<std::uint64_t>& served)
-        : inner_(std::move(inner)), served_(served) {}
+                   std::atomic<std::uint64_t>& served,
+                   std::atomic<std::uint64_t>& read_ats)
+        : inner_(std::move(inner)), served_(served), read_ats_(read_ats) {}
     Result<std::size_t> read(std::span<std::byte> out) override {
       return count(inner_->read(out));
     }
@@ -76,6 +79,7 @@ class CountingBackend : public StorageBackend {
     }
     Result<std::size_t> read_at(std::uint64_t offset,
                                 std::span<std::byte> out) override {
+      read_ats_.fetch_add(1, std::memory_order_relaxed);
       return count(inner_->read_at(offset, out));
     }
     std::uint64_t size() const noexcept override { return inner_->size(); }
@@ -88,11 +92,13 @@ class CountingBackend : public StorageBackend {
 
     std::unique_ptr<Reader> inner_;
     std::atomic<std::uint64_t>& served_;
+    std::atomic<std::uint64_t>& read_ats_;
   };
 
   StorageBackend& inner_;
   std::atomic<std::uint64_t> opens_{0};
   std::atomic<std::uint64_t> bytes_served_{0};
+  std::atomic<std::uint64_t> read_ats_{0};
   std::atomic<std::uint64_t> writes_{0};
 };
 

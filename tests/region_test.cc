@@ -1,6 +1,7 @@
 #include "region/address_space.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 #include <utility>
@@ -170,6 +171,20 @@ TEST(AddressSpaceTest, MappedMemoryIsZeroFilled) {
   ASSERT_TRUE(ref.is_ok());
   for (std::size_t i = 0; i < ref->mem.size(); i += 64) {
     ASSERT_EQ(ref->mem[i], std::byte{0});
+  }
+}
+
+TEST(AddressSpaceTest, MappedMemoryIsResident) {
+  // Tracked blocks start resident, so tracking measures steady-state
+  // writes, not first-touch allocation.
+  ExplicitEngine engine;
+  AddressSpace space(engine, "r");
+  auto ref = space.map(16 * page_size(), AreaKind::kHeap, "resident");
+  ASSERT_TRUE(ref.is_ok());
+  std::vector<unsigned char> vec(ref->mem.size() / page_size());
+  ASSERT_EQ(::mincore(ref->mem.data(), ref->mem.size(), vec.data()), 0);
+  for (std::size_t p = 0; p < vec.size(); ++p) {
+    EXPECT_NE(vec[p] & 1u, 0u) << "page " << p << " is not resident";
   }
 }
 

@@ -674,6 +674,27 @@ TEST_F(RestoreChainTest, BytesReadAndOpensMatchWhatTheStoreServed) {
   }
 }
 
+// fsck parses every byte of an object, but from memory: it reads the
+// object in pieces of up to 1 MiB, one read_at each, plus the one that
+// finds nothing after the trailer.  Over RemoteBackend each read_at is
+// a round trip, so the count must not grow with the page count.
+TEST_F(RestoreChainTest, WholeObjectParseReadsAMiBPerCall) {
+  constexpr std::uint64_t kMiB = 1 << 20;
+  add_block((8 << 20) / page_size(), "a", 1);  // incompressible
+  auto full = ckpt_->checkpoint_full(0.0);
+  ASSERT_TRUE(full.is_ok());
+  auto& bytes_read = obs::registry().counter("restore.bytes_read");
+  const std::uint64_t before = bytes_read.value();
+  storage::CountingBackend counting(*storage_);
+  auto file = read_checkpoint_file(counting, full->key);
+  ASSERT_TRUE(file.is_ok()) << file.status().to_string();
+  EXPECT_GT(file->size, 8 * kMiB);
+  EXPECT_LE(counting.read_ats(), (file->size + kMiB - 1) / kMiB + 1);
+  EXPECT_EQ(counting.bytes_served(), file->size);
+  // What fsck reads is not what restore reads.
+  EXPECT_EQ(bytes_read.value(), before);
+}
+
 TEST_F(RestoreChainTest, DamagedWinningChunkFailsStrictTruncatesTolerant) {
   build_chunked_chain();
   auto reference = restore_chain_serial(*storage_, 0, 1);
@@ -977,6 +998,41 @@ TEST_F(RestoreChainTest, RepairQuarantinesCorruptTail) {
   auto again = repair_store(*storage_);
   ASSERT_TRUE(again.is_ok());
   EXPECT_TRUE(again->dropped.empty());
+}
+
+// A block size in an object's body is checked against the index only
+// after the parse has mapped the block.  Damage that leaves it under
+// validate_block's 2^40 cap but beyond what the host can map is
+// corruption to fsck and repair, not an exception out of the parse.
+TEST_F(RestoreChainTest, RepairQuarantinesAnUnmappableBlockSize) {
+  add_block((1 << 20) / page_size(), "a", 1);
+  ASSERT_TRUE(ckpt_->checkpoint_full(0.0).is_ok());
+  ASSERT_TRUE(ckpt_->checkpoint_full(1.0).is_ok());
+  const std::string key = checkpoint_key(0, 0);
+  auto data = read_object(key);
+  // Byte 4 of the first block's size: 1 MiB becomes 0xFF00100000 bytes.
+  data[sizeof(FileHeader) + offsetof(BlockHeader, bytes) + 4] = std::byte{0xFF};
+  write_object(key, data);
+
+  EXPECT_EQ(read_checkpoint_file(*storage_, key).status().code(),
+            ErrorCode::kCorruption);
+  auto report = inspect_chain(*storage_, 0);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  EXPECT_FALSE(report->healthy());
+  ASSERT_FALSE(report->problems.empty());
+  EXPECT_NE(report->problems.front().find(key), std::string::npos)
+      << report->problems.front();
+  EXPECT_EQ(report->recoverable_upto, 1u);
+
+  auto rep = repair_store(*storage_);
+  ASSERT_TRUE(rep.is_ok()) << rep.status().to_string();
+  ASSERT_EQ(rep->dropped.size(), 1u);
+  EXPECT_EQ(rep->dropped[0].key, key);
+  EXPECT_TRUE(storage_->exists(rep->dropped[0].quarantine_key));
+  EXPECT_EQ(rep->recovered_upto[0], 1u);
+  auto after = inspect_store(*storage_);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_TRUE(after->healthy());
 }
 
 TEST_F(RestoreChainTest, RepairQuarantinesUnplaceableOrphan) {
